@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! lc list                                         component inventory (Table 1)
-//! lc compress   --pipeline "BIT_4 DIFF_4 RZE_4" IN OUT
+//! lc compress   --pipeline "BIT_4 DIFF_4 RZE_4" [--stream] IN OUT
 //! lc decompress IN OUT [--max-decoded-bytes N]
 //! lc salvage    IN OUT [--max-decoded-bytes N]    recover intact chunks
 //! lc gen-data   [--file NAME] [--scale D] [--out DIR]
@@ -91,19 +91,6 @@ impl From<DecodeError> for CliError {
                 kind: "decode",
                 exit: EXIT_DECODE,
                 msg: e.to_string(),
-            },
-        }
-    }
-}
-
-impl From<lc_core::stream::StreamError> for CliError {
-    fn from(e: lc_core::stream::StreamError) -> Self {
-        match e {
-            lc_core::stream::StreamError::Decode(d) => Self::from(d),
-            io => Self {
-                kind: "decode",
-                exit: EXIT_DECODE,
-                msg: io.to_string(),
             },
         }
     }
@@ -302,44 +289,46 @@ fn cmd_compress(rest: &[String]) -> Result<(), CliError> {
         return Err("usage: lc compress --pipeline \"…\" [--stream] IN OUT".into());
     };
     let pool = Pool::with_default_threads();
-    if rest.iter().any(|a| a == "--stream") {
-        // Bounded-memory streaming path for large files.
-        let mut r = std::io::BufReader::new(
-            std::fs::File::open(input).map_err(|e| format!("{input}: {e}"))?,
-        );
-        let mut w = std::io::BufWriter::new(
-            // durable-exempt: user-named output of a one-shot CLI command.
-            std::fs::File::create(output).map_err(|e| format!("{output}: {e}"))?,
-        );
-        let t0 = Instant::now();
-        let enc = lc_core::stream::StreamEncoder::new(&pipeline, pool);
-        let (read, written) = enc.encode(&mut r, &mut w).map_err(|e| e.to_string())?;
-        use std::io::Write as _;
-        w.flush().map_err(|e| e.to_string())?;
-        println!(
-            "{input} -> {output} (streamed): {read} -> {written} bytes (ratio {:.3}) in {:.3}s",
-            read as f64 / written as f64,
-            t0.elapsed().as_secs_f64()
-        );
-        return Ok(());
-    }
-    let data = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
+    let streamed = rest.iter().any(|a| a == "--stream");
     let t0 = Instant::now();
-    let res = archive::encode_with_stats(&pipeline, &data, &pool);
+    let (read, written, stats) = if streamed {
+        // Bounded-memory path for large files: the same archive, written
+        // one window of chunks at a time. The table is sized from the
+        // input's length and patched in place, so both ends must be
+        // regular files.
+        let file = std::fs::File::open(input).map_err(|e| format!("{input}: {e}"))?;
+        let meta = file.metadata().map_err(|e| format!("{input}: {e}"))?;
+        if !meta.is_file() {
+            return Err(format!("{input}: --stream needs a regular input file").into());
+        }
+        if std::fs::metadata(output).is_ok_and(|m| !m.is_file()) {
+            return Err(format!("{output}: --stream needs a regular output file").into());
+        }
+        // durable-exempt: user-named output of a one-shot CLI command.
+        let out = std::fs::File::create(output).map_err(|e| format!("{output}: {e}"))?;
+        let mut r = std::io::BufReader::new(file);
+        let mut w = std::io::BufWriter::new(out);
+        let (written, stats) =
+            archive::encode_windowed(&pipeline, &mut r, meta.len(), &mut w, &pool)
+                .map_err(|e| format!("{input} -> {output}: {e}"))?;
+        use std::io::Write as _;
+        w.flush().map_err(|e| format!("{output}: {e}"))?;
+        (meta.len(), written, stats)
+    } else {
+        let data = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
+        let res = archive::encode_with_stats(&pipeline, &data, &pool);
+        // durable-exempt: user-named output of a one-shot CLI command.
+        std::fs::write(output, &res.archive).map_err(|e| format!("{output}: {e}"))?;
+        (data.len() as u64, res.archive.len() as u64, res.stats)
+    };
     let dt = t0.elapsed().as_secs_f64();
-    // durable-exempt: user-named output of a one-shot CLI command.
-    std::fs::write(output, &res.archive).map_err(|e| format!("{output}: {e}"))?;
     println!(
-        "{} -> {}: {} -> {} bytes (ratio {:.3}) in {:.3}s ({:.2} GB/s on this CPU)",
-        input,
-        output,
-        data.len(),
-        res.archive.len(),
-        data.len() as f64 / res.archive.len() as f64,
-        dt,
-        data.len() as f64 / 1e9 / dt,
+        "{input} -> {output}{}: {read} -> {written} bytes (ratio {:.3}) in {dt:.3}s ({:.2} GB/s on this CPU)",
+        if streamed { " (streamed)" } else { "" },
+        read as f64 / written as f64,
+        read as f64 / 1e9 / dt,
     );
-    for st in &res.stats.stages {
+    for st in &stats.stages {
         println!(
             "  {:10} applied {:5} skipped {:5}  {} -> {} bytes",
             st.component, st.chunks_applied, st.chunks_skipped, st.bytes_in, st.bytes_out
@@ -353,28 +342,14 @@ fn cmd_decompress(rest: &[String]) -> Result<(), CliError> {
     let [input, output] = pos[..] else {
         return Err("usage: lc decompress IN OUT [--max-decoded-bytes N]".into());
     };
-    let limit = max_decoded_bytes(rest)?;
+    let opts = archive::DecodeOptions {
+        max_decoded_bytes: max_decoded_bytes(rest)?,
+        cancel: None,
+    };
     let data = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
     let pool = Pool::with_default_threads();
     let t0 = Instant::now();
-    // Both archive flavors are self-describing; dispatch on the magic.
-    let out = if data.starts_with(&lc_core::stream::STREAM_MAGIC) {
-        if limit.is_some() {
-            return Err(
-                "--max-decoded-bytes applies to LCRP archives; streams (LCRS) decode \
-                 chunk-by-chunk in bounded memory already"
-                    .into(),
-            );
-        }
-        let mut out = Vec::new();
-        lc_core::stream::decode_stream(&mut &data[..], &mut out, lc_components::lookup, &pool)?;
-        out
-    } else {
-        match limit {
-            Some(max) => archive::decode_bounded(&data, lc_components::lookup, &pool, max)?,
-            None => archive::decode(&data, lc_components::lookup, &pool)?,
-        }
-    };
+    let out = archive::decode_with(&data, lc_components::lookup, &pool, &opts)?;
     let dt = t0.elapsed().as_secs_f64();
     // durable-exempt: user-named output of a one-shot CLI command.
     std::fs::write(output, &out).map_err(|e| format!("{output}: {e}"))?;
@@ -394,14 +369,14 @@ fn cmd_salvage(rest: &[String]) -> Result<(), CliError> {
     let [input, output] = pos[..] else {
         return Err("usage: lc salvage IN OUT [--max-decoded-bytes N]".into());
     };
-    let limit = max_decoded_bytes(rest)?;
+    let opts = archive::DecodeOptions {
+        max_decoded_bytes: max_decoded_bytes(rest)?,
+        cancel: None,
+    };
     let data = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
     let pool = Pool::with_default_threads();
     let t0 = Instant::now();
-    let (out, report) = match limit {
-        Some(max) => archive::decode_salvage_bounded(&data, lc_components::lookup, &pool, max)?,
-        None => archive::decode_salvage(&data, lc_components::lookup, &pool)?,
-    };
+    let (out, report) = archive::salvage(&data, lc_components::lookup, &pool, &opts)?;
     let dt = t0.elapsed().as_secs_f64();
     // durable-exempt: user-named output of a one-shot CLI command.
     std::fs::write(output, &out).map_err(|e| format!("{output}: {e}"))?;
@@ -488,13 +463,7 @@ fn cmd_verify(rest: &[String]) -> Result<(), CliError> {
     };
     let data = std::fs::read(archive_path).map_err(|e| format!("{archive_path}: {e}"))?;
     let pool = Pool::with_default_threads();
-    let out = if data.starts_with(&lc_core::stream::STREAM_MAGIC) {
-        let mut out = Vec::new();
-        lc_core::stream::decode_stream(&mut &data[..], &mut out, lc_components::lookup, &pool)?;
-        out
-    } else {
-        archive::decode(&data, lc_components::lookup, &pool)?
-    };
+    let out = archive::decode(&data, lc_components::lookup, &pool)?;
     println!("{archive_path}: decodes cleanly to {} bytes", out.len());
     if let Some(orig_path) = original {
         let orig = std::fs::read(orig_path).map_err(|e| format!("{orig_path}: {e}"))?;

@@ -169,7 +169,20 @@ fn streamed_compress_decompress_roundtrip() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("streamed"));
 
-    // decompress auto-detects the streamed format by magic.
+    // The windowed writer produces the very archive plain compress does.
+    let plain = tmp("stream.plain.lc");
+    let out = lc()
+        .args(["compress", "--pipeline", "TCMS_4 DIFF_4 RZE_4"])
+        .arg(&src)
+        .arg(&plain)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    assert_eq!(
+        std::fs::read(&archive).unwrap(),
+        std::fs::read(&plain).unwrap()
+    );
+
     let out = lc()
         .arg("decompress")
         .arg(&archive)
@@ -182,6 +195,40 @@ fn streamed_compress_decompress_roundtrip() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert_eq!(std::fs::read(&restored).unwrap(), data);
+
+    // Streamed output salvages cleanly and honours the size bound.
+    let out = lc()
+        .arg("salvage")
+        .arg(&archive)
+        .arg(&restored)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(std::fs::read(&restored).unwrap(), data);
+    let out = lc()
+        .arg("decompress")
+        .arg(&archive)
+        .arg(&restored)
+        .args(["--max-decoded-bytes", "100"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(4));
+}
+
+#[test]
+fn streamed_compress_needs_regular_files() {
+    let out = lc()
+        .args(["compress", "--pipeline", "TCMS_4 DIFF_4 RZE_4", "--stream"])
+        .arg("/dev/null")
+        .arg(tmp("devnull.lc"))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("kind=usage") && err.contains("regular"),
+        "{err}"
+    );
 }
 
 #[test]

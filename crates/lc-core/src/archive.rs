@@ -17,17 +17,40 @@
 //! payloads, concatenated in chunk order
 //! ```
 //!
-//! Version 2 archives (5-byte table entries without the per-chunk CRC)
-//! are still decoded; the per-chunk integrity and salvage features
-//! simply degrade to structural-only detection for them.
+//! Two older layouts are still read, never written:
 //!
-//! The encoder processes chunks in parallel; each chunk's payload offset is
-//! produced by the decoupled look-back scan from `lc-parallel`, mirroring
-//! how the GPU encoder propagates cumulative compressed sizes between
-//! thread blocks (paper §6.1). The decoder recomputes chunk start offsets
-//! with a prefix scan over the chunk table — mirroring the GPU decoder's
-//! block prefix sum — then decodes chunks in parallel into their fixed
-//! output regions.
+//! * LCRP version 2: 5-byte table entries without the per-chunk CRC;
+//! * LCRS version 2, the stream format `lc compress --stream` used to
+//!   write: magic `b"LCRS"`, version, the same stage names, then batches
+//!   of `u32 count` + `count` v2 table entries + payloads, a zero count,
+//!   and a trailer of `u64` original length + `u32` CRC-32.
+//!
+//! Neither carries per-chunk CRCs, so per-chunk integrity and salvage
+//! degrade to structural-only detection for them.
+//!
+//! Encoders. [`encode`], [`encode_with_stats`] and [`encode_cancellable`]
+//! build the archive in memory in one pass over the input: chunks are
+//! encoded in parallel and each chunk's payload offset is produced by the
+//! decoupled look-back scan from `lc-parallel`, mirroring how the GPU
+//! encoder propagates cumulative compressed sizes between thread blocks
+//! (paper §6.1). [`encode_windowed`] writes the same bytes from a reader
+//! of known length while holding only [`WINDOW_CHUNKS`] chunks in memory:
+//! it appends each window's payloads and seeks back once at the end to
+//! write the chunk table and the whole-input CRC.
+//!
+//! Decoders. One per-chunk core serves three entry points. It recomputes
+//! chunk start offsets with a prefix scan over the chunk table —
+//! mirroring the GPU decoder's block prefix sum — then decodes chunks in
+//! parallel straight into their fixed output regions, checking each
+//! against its CRC and fencing each against decoder panics:
+//!
+//! * [`decode`] is all-or-nothing: any damage is a hard [`DecodeError`],
+//!   and the lowest-index faulty chunk names it;
+//! * [`decode_with`] adds the [`DecodeOptions`] bound (decompression-bomb
+//!   guard) and cancel token;
+//! * [`salvage`] takes the same options but degrades per chunk: it
+//!   zero-fills the regions of chunks that do not validate and reports
+//!   them in a [`SalvageReport`] instead of aborting.
 //!
 //! Copy-on-expand: a reducer stage whose output for some chunk is not
 //! strictly smaller than its input is skipped for that chunk — the input
@@ -36,20 +59,15 @@
 //! makes RLE_1/2/8 decode quickly on 4-byte float data while RLE_4 must
 //! actually decompress). Non-reducers never change the size and are always
 //! applied.
-//!
-//! Fault tolerance: [`decode`] is all-or-nothing — any damage is a hard
-//! [`DecodeError`]. [`decode_salvage`] is the degraded-mode counterpart:
-//! it decodes every chunk that still validates, zero-fills the regions of
-//! chunks that do not, and reports per-chunk faults in a
-//! [`SalvageReport`] instead of aborting. [`decode_bounded`] adds a
-//! decompression-bomb guard in front of either path.
 
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use lc_parallel::{DisjointSlice, LookbackScan, Pool};
+use lc_parallel::{CancelToken, DisjointSlice, LookbackScan, Pool};
 use lc_telemetry::{span, ArgValue, Span};
 
-use crate::chunk::{chunk_count, chunk_range};
+use crate::chunk::{chunk_count, chunk_range, CHUNK_SIZE};
 use crate::component::Component;
 use crate::error::DecodeError;
 use crate::pipeline::Pipeline;
@@ -69,6 +87,10 @@ pub const MAX_STAGES: usize = 8;
 pub const TABLE_ENTRY_V2: usize = 5;
 /// Bytes per chunk-table entry in format v3: v2 fields + chunk CRC-32.
 pub const TABLE_ENTRY_V3: usize = 9;
+/// Chunks [`encode_windowed`] holds in memory at once (4 MiB of input).
+pub const WINDOW_CHUNKS: usize = 256;
+/// Magic bytes of the legacy LCRS v2 stream format (read-only).
+const STREAM_MAGIC: [u8; 4] = *b"LCRS";
 
 /// Parsed archive header.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,7 +122,7 @@ impl Archive {
     }
 }
 
-/// Outcome of one unrecoverable chunk in [`decode_salvage`].
+/// Outcome of one unrecoverable chunk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkFault {
     /// Index of the chunk that could not be recovered.
@@ -109,7 +131,7 @@ pub struct ChunkFault {
     pub error: DecodeError,
 }
 
-/// What [`decode_salvage`] managed to recover.
+/// What [`salvage`] managed to recover.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SalvageReport {
     /// Chunks decoded and (for v3) validated against their per-chunk CRC.
@@ -130,6 +152,21 @@ impl SalvageReport {
     pub fn is_clean(&self) -> bool {
         self.lost == 0 && self.archive_crc_ok
     }
+}
+
+/// Caller-chosen limits for [`decode_with`] and [`salvage`]. The default
+/// bounds nothing and never cancels, which is what [`decode`] uses.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DecodeOptions<'a> {
+    /// Refuse archives declaring more output than this before allocating
+    /// it: a hostile archive can declare an arbitrary length, and an
+    /// unbounded decode would allocate it.
+    pub max_decoded_bytes: Option<u64>,
+    /// Polled at every chunk claim and once more before the whole-output
+    /// CRC pass; once it trips the decode fails with
+    /// [`DecodeError::Cancelled`]. This is how an `lc-serve` request
+    /// deadline stops a decode.
+    pub cancel: Option<&'a CancelToken>,
 }
 
 /// Result of [`encode_with_stats`].
@@ -227,7 +264,7 @@ pub fn encode_cancellable(
     pipeline: &Pipeline,
     input: &[u8],
     pool: &Pool,
-    cancel: &lc_parallel::CancelToken,
+    cancel: &CancelToken,
 ) -> Option<EncodeResult> {
     encode_inner(pipeline, input, pool, Some(cancel))
 }
@@ -236,28 +273,154 @@ fn encode_inner(
     pipeline: &Pipeline,
     input: &[u8],
     pool: &Pool,
-    cancel: Option<&lc_parallel::CancelToken>,
+    cancel: Option<&CancelToken>,
 ) -> Option<EncodeResult> {
-    let stages = pipeline.stages();
-    assert!(
-        stages.len() <= MAX_STAGES,
-        "pipeline has {} stages; archive mask supports at most {MAX_STAGES}",
-        stages.len()
-    );
+    let set = StageSet::for_encode(pipeline);
     let n_chunks = chunk_count(input.len());
-    // Hoisted once per encode: chunk/stage instrumentation below branches
-    // on this bool, so a disabled-telemetry encode pays one relaxed load.
-    let telemetry = lc_telemetry::active();
-    let costs = if telemetry {
-        stage_costs(stages, "encode")
-    } else {
-        Vec::new()
-    };
-    let costs = &costs;
     let mut enc_span = span!("archive.encode", bytes = input.len(), chunks = n_chunks);
+    let (outcomes, offsets, payload_total) = encode_chunks(&set, input, 0, pool, cancel)?;
 
-    // Phase 1: per-chunk stage execution (one pool task per chunk, like one
-    // thread block per chunk on the GPU).
+    // Phase 2: serialize header + chunk table, then parallel payload copy.
+    let mut archive = Vec::with_capacity(64 + n_chunks * TABLE_ENTRY_V3 + payload_total);
+    push_header(
+        &mut archive,
+        set.stages,
+        input.len() as u64,
+        crate::checksum::crc32(input),
+        n_chunks,
+    );
+    push_table(&mut archive, &outcomes);
+    let payload_start = archive.len();
+    archive.resize(payload_start + payload_total, 0);
+    {
+        let payload = &mut archive[payload_start..];
+        let base = payload.as_mut_ptr() as usize;
+        pool.run(n_chunks, |i| {
+            let src = &outcomes[i].data;
+            // SAFETY: the scan guarantees [offset, offset+len) ranges are
+            // disjoint and within the payload region (total == scan.total()).
+            unsafe {
+                std::ptr::copy_nonoverlapping(
+                    src.as_ptr(),
+                    (base as *mut u8).add(offsets[i] as usize),
+                    src.len(),
+                );
+            }
+        });
+    }
+
+    // Phase 3: fold per-chunk records into per-stage statistics.
+    let mut stage_stats = empty_stage_stats(set.stages);
+    add_stage_records(&mut stage_stats, &outcomes);
+    let stats = finish_encode(
+        &mut enc_span,
+        &set,
+        stage_stats,
+        input.len() as u64,
+        payload_total as u64,
+        archive.len() as u64,
+    );
+    Some(EncodeResult { archive, stats })
+}
+
+/// Encode exactly `len` bytes read from `input` into `output`, holding
+/// only [`WINDOW_CHUNKS`] chunks in memory at a time. The bytes written
+/// equal [`encode`]'s on the same input.
+///
+/// The header and a zeroed chunk table go out first; each window's
+/// payloads are appended as soon as the window is encoded, while the
+/// whole-input CRC runs along. One seek back at the end writes the CRC
+/// and the chunk table. Returns the archive's length in bytes and the
+/// per-stage statistics.
+///
+/// An input that ends before `len` bytes, or holds more than `len`, is an
+/// error: the archive's length and chunk count are fixed up front, so a
+/// short archive is never written as if it were complete.
+///
+/// # Panics
+///
+/// Panics if the pipeline has more than [`MAX_STAGES`] stages.
+pub fn encode_windowed<R: Read, W: Write + Seek>(
+    pipeline: &Pipeline,
+    input: &mut R,
+    len: u64,
+    output: &mut W,
+    pool: &Pool,
+) -> std::io::Result<(u64, PipelineStats)> {
+    let set = StageSet::for_encode(pipeline);
+    let n_chunks = chunk_count(len as usize);
+    let mut enc_span = span!("archive.encode", bytes = len, chunks = n_chunks);
+    let start = output.stream_position()?;
+    let mut header = Vec::new();
+    push_header(&mut header, set.stages, len, 0, n_chunks);
+    // What is only known at the end is rewritten from here on: the
+    // whole-input CRC, then the chunk count and the chunk table.
+    let patch_at = header.len() - 8;
+    let mut patch = header[patch_at..].to_vec();
+    header.resize(header.len() + n_chunks * TABLE_ENTRY_V3, 0);
+    output.write_all(&header)?;
+
+    let mut window = vec![0u8; (WINDOW_CHUNKS * CHUNK_SIZE).min(len as usize)];
+    let mut crc = crate::checksum::Crc32::new();
+    let mut stage_stats = empty_stage_stats(set.stages);
+    let mut payload_total = 0usize;
+    let mut done = 0u64;
+    while done < len {
+        let take = (len - done).min(window.len() as u64) as usize;
+        let filled = &mut window[..take];
+        input.read_exact(filled).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => std::io::Error::new(
+                e.kind(),
+                format!("input ended before its declared {len} bytes"),
+            ),
+            _ => e,
+        })?;
+        crc.update(filled);
+        let first_chunk = (done / CHUNK_SIZE as u64) as usize;
+        let (outcomes, _, window_total) = encode_chunks(&set, filled, first_chunk, pool, None)
+            .expect("uncancellable encode completes"); // invariant: no cancel token
+        for o in &outcomes {
+            output.write_all(&o.data)?;
+        }
+        push_table(&mut patch, &outcomes);
+        add_stage_records(&mut stage_stats, &outcomes);
+        payload_total += window_total;
+        done += filled.len() as u64;
+    }
+    if input.read(&mut [0u8; 1])? != 0 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("input holds more than its declared {len} bytes"),
+        ));
+    }
+    patch[..4].copy_from_slice(&crc.finish().to_le_bytes());
+    output.seek(SeekFrom::Start(start + patch_at as u64))?;
+    output.write_all(&patch)?;
+    let archive_len = output.seek(SeekFrom::End(0))? - start;
+    let stats = finish_encode(
+        &mut enc_span,
+        &set,
+        stage_stats,
+        len,
+        payload_total as u64,
+        archive_len,
+    );
+    Ok((archive_len, stats))
+}
+
+/// Phase 1 of an encode: every chunk of `input` through the pipeline in
+/// parallel (one pool task per chunk, like one thread block per chunk on
+/// the GPU). Returns the outcomes, each chunk's payload offset and the
+/// payload total, or `None` when cancelled. `first_chunk` is the index
+/// of `input`'s first chunk within the whole archive, for traces.
+fn encode_chunks(
+    set: &StageSet<'_>,
+    input: &[u8],
+    first_chunk: usize,
+    pool: &Pool,
+    cancel: Option<&CancelToken>,
+) -> Option<(Vec<ChunkOutcome>, Vec<u64>, usize)> {
+    let n_chunks = chunk_count(input.len());
     let mut outcomes: Vec<Option<ChunkOutcome>> = Vec::new();
     outcomes.resize_with(n_chunks, || None);
     let scan = LookbackScan::new(n_chunks);
@@ -268,14 +431,8 @@ fn encode_inner(
         // Each worker owns one Scratch arena for its whole claim stream:
         // stage buffers are allocated once per worker, not once per chunk.
         let encode_task = |scratch: &mut Scratch, i: usize| {
-            let outcome = encode_one_chunk(
-                stages,
-                &input[chunk_range(i, input.len())],
-                i,
-                telemetry,
-                costs,
-                scratch,
-            );
+            let chunk = &input[chunk_range(i, input.len())];
+            let outcome = encode_one_chunk(set, chunk, first_chunk + i, scratch);
             // Publish this chunk's stored size; receive the cumulative size
             // of all prior chunks (decoupled look-back, as on the GPU).
             let offset = scan.publish(i, outcome.data.len() as u64);
@@ -298,59 +455,56 @@ fn encode_inner(
         return None;
     }
     let payload_total = if n_chunks == 0 { 0 } else { scan.total() } as usize;
-    let outcomes: Vec<ChunkOutcome> = outcomes
+    let outcomes = outcomes
         .into_iter()
         .map(|o| o.expect("chunk encoded")) // invariant: phase 1 fills every slot
         .collect();
+    Some((outcomes, offsets, payload_total))
+}
 
-    // Phase 2: serialize header + chunk table, then parallel payload copy.
-    let mut archive = Vec::with_capacity(64 + n_chunks * TABLE_ENTRY_V3 + payload_total);
-    archive.extend_from_slice(&MAGIC);
-    archive.push(VERSION);
-    archive.push(stages.len() as u8);
+/// Serialize the archive header up to and including the chunk count.
+fn push_header(
+    out: &mut Vec<u8>,
+    stages: &[Arc<dyn Component>],
+    original_len: u64,
+    crc: u32,
+    n_chunks: usize,
+) {
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
+    out.push(stages.len() as u8);
     for s in stages {
         let name = s.name().as_bytes();
-        archive.push(name.len() as u8);
-        archive.extend_from_slice(name);
+        out.push(name.len() as u8);
+        out.extend_from_slice(name);
     }
-    archive.extend_from_slice(&(input.len() as u64).to_le_bytes());
-    archive.extend_from_slice(&crate::checksum::crc32(input).to_le_bytes());
-    archive.extend_from_slice(&(n_chunks as u32).to_le_bytes());
-    for o in &outcomes {
-        archive.push(o.mask);
-        archive.extend_from_slice(&(o.data.len() as u32).to_le_bytes());
-        archive.extend_from_slice(&o.crc.to_le_bytes());
-    }
-    let payload_start = archive.len();
-    archive.resize(payload_start + payload_total, 0);
-    {
-        let payload = &mut archive[payload_start..];
-        let base = payload.as_mut_ptr() as usize;
-        pool.run(n_chunks, |i| {
-            let src = &outcomes[i].data;
-            // SAFETY: the scan guarantees [offset, offset+len) ranges are
-            // disjoint and within the payload region (total == scan.total()).
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    src.as_ptr(),
-                    (base as *mut u8).add(offsets[i] as usize),
-                    src.len(),
-                );
-            }
-        });
-    }
+    out.extend_from_slice(&original_len.to_le_bytes());
+    out.extend_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(&(n_chunks as u32).to_le_bytes());
+}
 
-    // Phase 3: fold per-chunk records into per-stage statistics.
-    let mut stage_stats: Vec<StageStats> = stages
+/// Append one v3 chunk-table entry per outcome.
+fn push_table(out: &mut Vec<u8>, outcomes: &[ChunkOutcome]) {
+    for o in outcomes {
+        out.push(o.mask);
+        out.extend_from_slice(&(o.data.len() as u32).to_le_bytes());
+        out.extend_from_slice(&o.crc.to_le_bytes());
+    }
+}
+
+fn empty_stage_stats(stages: &[Arc<dyn Component>]) -> Vec<StageStats> {
+    stages
         .iter()
         .map(|s| StageStats {
             component: s.name().to_string(),
             ..Default::default()
         })
-        .collect();
-    for o in &outcomes {
-        for (s, rec) in o.stage_records.iter().enumerate() {
-            let st = &mut stage_stats[s];
+        .collect()
+}
+
+fn add_stage_records(stage_stats: &mut [StageStats], outcomes: &[ChunkOutcome]) {
+    for o in outcomes {
+        for (st, rec) in stage_stats.iter_mut().zip(&o.stage_records) {
             st.kernel.merge(&rec.kernel);
             if rec.applied {
                 st.chunks_applied += 1;
@@ -361,20 +515,32 @@ fn encode_inner(
             }
         }
     }
-    let stats = PipelineStats {
-        stages: stage_stats,
-        chunks: n_chunks as u64,
-        uncompressed_bytes: input.len() as u64,
-        compressed_bytes: (payload_total + n_chunks * TABLE_ENTRY_V3) as u64,
-    };
-    if telemetry {
-        enc_span.arg("archive_bytes", archive.len());
+}
+
+/// Close an encode: per-stage statistics plus the `archive.encode.*`
+/// counters and span argument.
+fn finish_encode(
+    span: &mut Span,
+    set: &StageSet<'_>,
+    stages: Vec<StageStats>,
+    bytes_in: u64,
+    payload_total: u64,
+    archive_len: u64,
+) -> PipelineStats {
+    let chunks = chunk_count(bytes_in as usize) as u64;
+    if set.telemetry {
+        span.arg("archive_bytes", archive_len);
         lc_telemetry::counter("archive.encode.calls").add(1);
-        lc_telemetry::counter("archive.encode.bytes_in").add(input.len() as u64);
-        lc_telemetry::counter("archive.encode.bytes_out").add(archive.len() as u64);
-        lc_telemetry::counter("archive.encode.chunks").add(n_chunks as u64);
+        lc_telemetry::counter("archive.encode.bytes_in").add(bytes_in);
+        lc_telemetry::counter("archive.encode.bytes_out").add(archive_len);
+        lc_telemetry::counter("archive.encode.chunks").add(chunks);
     }
-    Some(EncodeResult { archive, stats })
+    PipelineStats {
+        stages,
+        chunks,
+        uncompressed_bytes: bytes_in,
+        compressed_bytes: payload_total + chunks * TABLE_ENTRY_V3 as u64,
+    }
 }
 
 /// Which buffer currently holds the chunk bytes: the caller's input
@@ -411,37 +577,101 @@ struct StageCost {
     kernel: &'static lc_telemetry::Counter,
 }
 
-fn stage_costs(stages: &[Arc<dyn Component>], dir: &str) -> Vec<StageCost> {
-    stages
-        .iter()
-        .map(|c| {
-            let n = c.name();
-            let k = c.kernel_variant().label();
-            StageCost {
-                bytes: lc_telemetry::counter(&format!("component.{n}.{dir}.bytes")),
-                ns: lc_telemetry::histogram(&format!("component.{n}.{dir}.ns")),
-                kernel: lc_telemetry::counter(&format!("component.{n}.{dir}.kernel.{k}")),
-            }
-        })
-        .collect()
+/// What every chunk task of one archive call shares: the stages and,
+/// when telemetry is on, their cost-attribution handles.
+struct StageSet<'a> {
+    stages: &'a [Arc<dyn Component>],
+    /// Hoisted once per call: chunk/stage instrumentation branches on
+    /// this bool, so a disabled-telemetry call pays one relaxed load.
+    telemetry: bool,
+    costs: Vec<StageCost>,
+}
+
+impl<'a> StageSet<'a> {
+    fn new(stages: &'a [Arc<dyn Component>], dir: &str) -> Self {
+        let telemetry = lc_telemetry::active();
+        let costs = if !telemetry {
+            Vec::new()
+        } else {
+            stages
+                .iter()
+                .map(|c| {
+                    let n = c.name();
+                    let k = c.kernel_variant().label();
+                    StageCost {
+                        bytes: lc_telemetry::counter(&format!("component.{n}.{dir}.bytes")),
+                        ns: lc_telemetry::histogram(&format!("component.{n}.{dir}.ns")),
+                        kernel: lc_telemetry::counter(&format!("component.{n}.{dir}.kernel.{k}")),
+                    }
+                })
+                .collect()
+        };
+        Self {
+            stages,
+            telemetry,
+            costs,
+        }
+    }
+
+    fn for_encode(pipeline: &'a Pipeline) -> Self {
+        let stages = pipeline.stages();
+        assert!(
+            stages.len() <= MAX_STAGES,
+            "pipeline has {} stages; archive mask supports at most {MAX_STAGES}",
+            stages.len()
+        );
+        Self::new(stages, "encode")
+    }
+
+    /// A stage span with a histogram, or a disabled one (whose `args`
+    /// are never built).
+    fn stage_span(
+        &self,
+        cat: &'static str,
+        comp: &dyn Component,
+        args: impl FnOnce() -> Vec<(&'static str, ArgValue)>,
+    ) -> Span {
+        if !self.telemetry {
+            return Span::disabled();
+        }
+        let mut sp = Span::begin(cat, comp.name(), args());
+        sp.with_histogram();
+        sp
+    }
+
+    /// Attribute one chunk's kernel cost for stage `s`, started at `t0`.
+    fn charge(&self, s: usize, bytes_in: u64, t0: u64) {
+        if self.telemetry {
+            let c = &self.costs[s];
+            c.bytes.add(bytes_in);
+            c.ns.record(lc_telemetry::now_ns().saturating_sub(t0));
+            c.kernel.add(1);
+        }
+    }
+
+    fn now(&self) -> u64 {
+        if self.telemetry {
+            lc_telemetry::now_ns()
+        } else {
+            0
+        }
+    }
 }
 
 fn encode_one_chunk(
-    stages: &[Arc<dyn Component>],
+    set: &StageSet<'_>,
     chunk: &[u8],
     chunk_index: usize,
-    telemetry: bool,
-    costs: &[StageCost],
     scratch: &mut Scratch,
 ) -> ChunkOutcome {
     let crc = crate::checksum::crc32(chunk);
     let mut mask = 0u8;
-    let mut stage_records = Vec::with_capacity(stages.len());
+    let mut stage_records = Vec::with_capacity(set.stages.len());
     // The first stage reads the caller's chunk slice directly — no
     // defensive copy; subsequent stages ping-pong between the arena
     // buffers. Disjoint field borrows keep input and output separate.
     let mut live = Live::Input;
-    for (s, comp) in stages.iter().enumerate() {
+    for (s, comp) in set.stages.iter().enumerate() {
         let bytes_in = match live {
             Live::Input => chunk.len(),
             Live::A => scratch.a.len(),
@@ -451,21 +681,13 @@ fn encode_one_chunk(
             bytes_in: bytes_in as u64,
             ..Default::default()
         };
-        let mut sp = if telemetry {
-            let mut sp = Span::begin(
-                "stage.encode",
-                comp.name(),
-                vec![
-                    ("chunk", ArgValue::from(chunk_index)),
-                    ("bytes_in", ArgValue::from(rec.bytes_in)),
-                ],
-            );
-            sp.with_histogram();
-            sp
-        } else {
-            Span::disabled()
-        };
-        let t0 = if telemetry { lc_telemetry::now_ns() } else { 0 };
+        let mut sp = set.stage_span("stage.encode", comp.as_ref(), || {
+            vec![
+                ("chunk", ArgValue::from(chunk_index)),
+                ("bytes_in", ArgValue::from(rec.bytes_in)),
+            ]
+        });
+        let t0 = set.now();
         let applied = match live {
             Live::Input => {
                 crate::scratch::encode_stage(comp.as_ref(), chunk, &mut scratch.a, &mut rec.kernel)
@@ -483,15 +705,9 @@ fn encode_one_chunk(
                 &mut rec.kernel,
             ),
         };
-        if telemetry {
-            // Attribute the kernel's cost to the component even when the
-            // output was discarded (copy-on-expand): the work happened.
-            costs[s].bytes.add(rec.bytes_in);
-            costs[s]
-                .ns
-                .record(lc_telemetry::now_ns().saturating_sub(t0));
-            costs[s].kernel.add(1);
-        }
+        // Attribute the kernel's cost to the component even when the
+        // output was discarded (copy-on-expand): the work happened.
+        set.charge(s, rec.bytes_in, t0);
         rec.applied = applied;
         rec.bytes_out = if applied {
             let written = match live.advance() {
@@ -531,11 +747,59 @@ fn le_u32(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
 }
 
-/// Read a little-endian u64 at `at`; caller must have bounds-checked.
-fn le_u64(bytes: &[u8], at: usize) -> u64 {
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&bytes[at..at + 8]);
-    u64::from_le_bytes(raw)
+/// Bounds-checked reader over untrusted bytes: running off the end is a
+/// [`DecodeError::Truncated`] naming the field, never a panic.
+struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], DecodeError> {
+        match self.pos.checked_add(n) {
+            Some(end) if end <= self.bytes.len() => {
+                let field = &self.bytes[self.pos..end];
+                self.pos = end;
+                Ok(field)
+            }
+            _ => Err(DecodeError::Truncated { context }),
+        }
+    }
+
+    fn u8(&mut self, context: &'static str) -> Result<u8, DecodeError> {
+        Ok(self.take(1, context)?[0])
+    }
+
+    fn u32(&mut self, context: &'static str) -> Result<u32, DecodeError> {
+        Ok(le_u32(self.take(4, context)?, 0))
+    }
+
+    fn u64(&mut self, context: &'static str) -> Result<u64, DecodeError> {
+        let mut raw = [0u8; 8];
+        raw.copy_from_slice(self.take(8, context)?);
+        Ok(u64::from_le_bytes(raw))
+    }
+
+    /// Stage count and names, shared by both container layouts.
+    fn stage_names(&mut self) -> Result<Vec<String>, DecodeError> {
+        let n_stages = self.u8("stage count")? as usize;
+        if n_stages == 0 || n_stages > MAX_STAGES {
+            return Err(DecodeError::Corrupt {
+                context: "stage count",
+            });
+        }
+        (0..n_stages)
+            .map(|_| {
+                let len = self.u8("stage name length")? as usize;
+                let name = self.take(len, "stage name")?;
+                std::str::from_utf8(name)
+                    .map(str::to_string)
+                    .map_err(|_| DecodeError::Corrupt {
+                        context: "stage name utf8",
+                    })
+            })
+            .collect()
+    }
 }
 
 /// Parse just the header of an archive.
@@ -544,105 +808,128 @@ fn le_u64(bytes: &[u8], at: usize) -> u64 {
 /// read is bounds-checked against untrusted input: malformed bytes yield
 /// a [`DecodeError`], never a panic.
 pub fn parse_header(bytes: &[u8]) -> Result<Archive, DecodeError> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize, context: &'static str| -> Result<usize, DecodeError> {
-        match pos.checked_add(n) {
-            Some(end) if end <= bytes.len() => {
-                let at = *pos;
-                *pos = end;
-                Ok(at)
-            }
-            _ => Err(DecodeError::Truncated { context }),
-        }
-    };
-    let at = take(&mut pos, 4, "magic")?;
-    if bytes[at..at + 4] != MAGIC {
+    let mut r = Cursor { bytes, pos: 0 };
+    if r.take(4, "magic")? != MAGIC {
         return Err(DecodeError::BadMagic);
     }
-    let at = take(&mut pos, 1, "version")?;
-    let version = bytes[at];
+    let version = r.u8("version")?;
     if !(MIN_VERSION..=VERSION).contains(&version) {
         return Err(DecodeError::BadVersion(version));
     }
-    let at = take(&mut pos, 1, "stage count")?;
-    let n_stages = bytes[at] as usize;
-    if n_stages == 0 || n_stages > MAX_STAGES {
-        return Err(DecodeError::Corrupt {
-            context: "stage count",
-        });
-    }
-    let mut stage_names = Vec::with_capacity(n_stages);
-    for _ in 0..n_stages {
-        let at = take(&mut pos, 1, "stage name length")?;
-        let len = bytes[at] as usize;
-        let at = take(&mut pos, len, "stage name")?;
-        let name = std::str::from_utf8(&bytes[at..at + len]).map_err(|_| DecodeError::Corrupt {
-            context: "stage name utf8",
-        })?;
-        stage_names.push(name.to_string());
-    }
-    let at = take(&mut pos, 8, "original length")?;
-    let original_len = le_u64(bytes, at);
-    let at = take(&mut pos, 4, "checksum")?;
-    let crc32 = le_u32(bytes, at);
-    let at = take(&mut pos, 4, "chunk count")?;
-    let chunks = le_u32(bytes, at);
+    let stage_names = r.stage_names()?;
+    let original_len = r.u64("original length")?;
+    let crc32 = r.u32("checksum")?;
+    let chunks = r.u32("chunk count")?;
     if chunks as u64 != chunk_count(original_len as usize) as u64 {
         return Err(DecodeError::Corrupt {
             context: "chunk count vs length",
         });
     }
-    let entry_size = if version >= 3 {
-        TABLE_ENTRY_V3
-    } else {
-        TABLE_ENTRY_V2
-    };
-    let table_len = (chunks as usize)
-        .checked_mul(entry_size)
-        .ok_or(DecodeError::Truncated {
-            context: "chunk table",
-        })?;
-    let table_offset = pos;
-    take(&mut pos, table_len, "chunk table")?;
-    Ok(Archive {
+    let mut header = Archive {
         version,
         stage_names,
         original_len,
         crc32,
         chunks,
-        table_offset,
-        payload_offset: pos,
+        table_offset: r.pos,
+        payload_offset: 0,
+    };
+    let table_len =
+        (chunks as usize)
+            .checked_mul(header.entry_size())
+            .ok_or(DecodeError::Truncated {
+                context: "chunk table",
+            })?;
+    r.take(table_len, "chunk table")?;
+    header.payload_offset = r.pos;
+    Ok(header)
+}
+
+/// Where each chunk of an archive (or legacy stream) lives and what it
+/// must decode to: everything the per-chunk core needs, whatever the
+/// container.
+struct Layout {
+    stage_names: Vec<String>,
+    original_len: u64,
+    crc32: u32,
+    masks: Vec<u8>,
+    /// Absolute offset of each chunk's payload within the input bytes.
+    offsets: Vec<u64>,
+    sizes: Vec<u64>,
+    /// Per-chunk CRC-32 of the original bytes; `None` without a v3 table.
+    crcs: Option<Vec<u32>>,
+    /// Where the input ends when nothing is missing or trailing.
+    end: u64,
+}
+
+fn parse_layout(bytes: &[u8], pool: &Pool) -> Result<Layout, DecodeError> {
+    if bytes.starts_with(&STREAM_MAGIC) {
+        return parse_stream_layout(bytes);
+    }
+    let header = parse_header(bytes)?;
+    let table = bytes[header.table_offset..header.payload_offset].chunks_exact(header.entry_size());
+    let masks = table.clone().map(|e| e[0]).collect();
+    let sizes: Vec<u64> = table.clone().map(|e| le_u32(e, 1) as u64).collect();
+    let crcs = (header.version >= 3).then(|| table.map(|e| le_u32(e, 5)).collect());
+    // Chunk payload start offsets: a prefix scan, as in the GPU decoder.
+    let (mut offsets, payload_total) = lc_parallel::scan::parallel_exclusive_scan(pool, &sizes);
+    let base = header.payload_offset as u64;
+    offsets.iter_mut().for_each(|o| *o += base);
+    Ok(Layout {
+        stage_names: header.stage_names,
+        original_len: header.original_len,
+        crc32: header.crc32,
+        masks,
+        offsets,
+        sizes,
+        crcs,
+        end: base + payload_total,
     })
 }
 
-/// The parsed per-chunk table of an archive.
-struct ChunkTable {
-    masks: Vec<u8>,
-    /// Stored payload sizes, widened for the prefix scan.
-    sizes: Vec<u64>,
-    /// Per-chunk CRC-32 of the original bytes; `None` for v2 archives.
-    crcs: Option<Vec<u32>>,
-}
-
-fn parse_chunk_table(bytes: &[u8], header: &Archive) -> ChunkTable {
-    let n_chunks = header.chunks as usize;
-    let es = header.entry_size();
-    let table = &bytes[header.table_offset..header.payload_offset];
-    let mut masks = Vec::with_capacity(n_chunks);
-    let mut sizes = Vec::with_capacity(n_chunks);
-    let mut crcs = if header.version >= 3 {
-        Some(Vec::with_capacity(n_chunks))
-    } else {
-        None
-    };
-    for i in 0..n_chunks {
-        masks.push(table[i * es]);
-        sizes.push(le_u32(table, i * es + 1) as u64);
-        if let Some(c) = crcs.as_mut() {
-            c.push(le_u32(table, i * es + 5));
-        }
+/// Walk a legacy LCRS v2 stream's batches. Batches are framed by their
+/// own tables, so a truncated or mis-framed stream is a hard error.
+fn parse_stream_layout(bytes: &[u8]) -> Result<Layout, DecodeError> {
+    let mut r = Cursor { bytes, pos: 4 };
+    let version = r.u8("version")?;
+    if version != 2 {
+        return Err(DecodeError::BadVersion(version));
     }
-    ChunkTable { masks, sizes, crcs }
+    let stage_names = r.stage_names()?;
+    let (mut masks, mut offsets, mut sizes) = (Vec::new(), Vec::new(), Vec::new());
+    loop {
+        let n = r.u32("batch chunk count")? as usize;
+        if n == 0 {
+            break;
+        }
+        let table = r.take(n.saturating_mul(TABLE_ENTRY_V2), "chunk table")?;
+        let mut payload_len = 0usize;
+        for e in table.chunks_exact(TABLE_ENTRY_V2) {
+            let size = le_u32(e, 1) as usize;
+            masks.push(e[0]);
+            offsets.push(r.pos.saturating_add(payload_len) as u64);
+            sizes.push(size as u64);
+            payload_len = payload_len.saturating_add(size);
+        }
+        r.take(payload_len, "batch payload")?;
+    }
+    let original_len = r.u64("trailer length")?;
+    let crc32 = r.u32("trailer checksum")?;
+    if masks.len() != chunk_count(original_len as usize) {
+        return Err(DecodeError::Corrupt {
+            context: "chunk count vs length",
+        });
+    }
+    Ok(Layout {
+        stage_names,
+        original_len,
+        crc32,
+        masks,
+        offsets,
+        sizes,
+        crcs: None,
+        end: r.pos as u64,
+    })
 }
 
 /// Decode an archive, resolving stage names through `resolve`.
@@ -650,257 +937,28 @@ pub fn decode<R>(bytes: &[u8], resolve: R, pool: &Pool) -> Result<Vec<u8>, Decod
 where
     R: Fn(&str) -> Option<Arc<dyn Component>>,
 {
-    decode_with_stats(bytes, resolve, pool).map(|(out, _)| out)
+    decode_with(bytes, resolve, pool, &DecodeOptions::default())
 }
 
-/// Decode an archive, also returning per-stage statistics.
-pub fn decode_with_stats<R>(
+/// [`decode`] under `opts`: refuse archives declaring more than
+/// `max_decoded_bytes` before allocating their output, and stop with
+/// [`DecodeError::Cancelled`] once `cancel` trips. Any damage is a hard
+/// error; with several damaged chunks it names the lowest-index one,
+/// whatever the pool size.
+pub fn decode_with<R>(
     bytes: &[u8],
     resolve: R,
     pool: &Pool,
-) -> Result<(Vec<u8>, PipelineStats), DecodeError>
-where
-    R: Fn(&str) -> Option<Arc<dyn Component>>,
-{
-    decode_inner(bytes, resolve, pool, None)
-}
-
-fn decode_inner<R>(
-    bytes: &[u8],
-    resolve: R,
-    pool: &Pool,
-    cancel: Option<&lc_parallel::CancelToken>,
-) -> Result<(Vec<u8>, PipelineStats), DecodeError>
-where
-    R: Fn(&str) -> Option<Arc<dyn Component>>,
-{
-    let header = parse_header(bytes)?;
-    let stages: Vec<Arc<dyn Component>> = header
-        .stage_names
-        .iter()
-        .map(|n| resolve(n).ok_or_else(|| DecodeError::UnknownComponent(n.clone())))
-        .collect::<Result<_, _>>()?;
-
-    let n_chunks = header.chunks as usize;
-    let telemetry = lc_telemetry::active();
-    let costs = if telemetry {
-        stage_costs(&stages, "decode")
-    } else {
-        Vec::new()
-    };
-    let costs_ref = &costs;
-    let mut dec_span = span!("archive.decode", bytes = bytes.len(), chunks = n_chunks);
-    let ChunkTable { masks, sizes, crcs } = parse_chunk_table(bytes, &header);
-    // Chunk payload start offsets: a prefix scan, as in the GPU decoder.
-    let (offsets, payload_total) = lc_parallel::scan::parallel_exclusive_scan(pool, &sizes);
-    let payload = &bytes[header.payload_offset..];
-    if payload.len() != payload_total as usize {
-        return Err(DecodeError::Corrupt {
-            context: "payload size",
-        });
-    }
-
-    let original_len = header.original_len as usize;
-    let mut out = vec![0u8; original_len];
-    let out_base = out.as_mut_ptr() as usize;
-
-    // Per-chunk decode into disjoint output regions, collecting per-worker
-    // stage stats that are merged afterwards. Each worker also owns a
-    // Scratch arena: the decoded bytes are borrowed from it (or from the
-    // payload itself for all-skipped chunks) and copied straight into the
-    // output buffer — no per-chunk Vec is ever allocated.
-    let stage_names: Vec<&str> = header.stage_names.iter().map(|s| s.as_str()).collect();
-    let stages_ref = &stages;
-    let masks_ref = &masks;
-    let sizes_ref = &sizes;
-    let offsets_ref = &offsets;
-    let crcs_ref = crcs.as_deref();
-    type WorkerAcc = (Vec<StageRecord>, Option<DecodeError>, Scratch);
-    let (records, first_err, _) = pool.fold(
-        n_chunks,
-        || -> WorkerAcc {
-            (
-                vec![StageRecord::default(); stages_ref.len()],
-                None,
-                Scratch::new(),
-            )
-        },
-        |acc, i| {
-            if acc.1.is_some() {
-                return; // a chunk already failed; drain remaining work
-            }
-            // Deadline/shutdown poll at the chunk boundary: already-claimed
-            // chunks complete, remaining claims drain as Cancelled.
-            if cancel.is_some_and(|c| c.is_cancelled()) {
-                acc.1 = Some(DecodeError::Cancelled);
-                return;
-            }
-            let start = offsets_ref[i] as usize;
-            let end = start + sizes_ref[i] as usize;
-            if end > payload.len() {
-                acc.1 = Some(DecodeError::Corrupt {
-                    context: "chunk extent",
-                });
-                return;
-            }
-            let region = chunk_range(i, original_len);
-            match decode_chunk_into(
-                stages_ref,
-                masks_ref[i],
-                &payload[start..end],
-                region.len(),
-                &mut acc.0,
-                i,
-                telemetry,
-                costs_ref,
-                &mut acc.2,
-            ) {
-                Ok(decoded) => {
-                    // v3: validate the recovered plaintext against the
-                    // per-chunk CRC before it reaches the output buffer.
-                    if let Some(crcs) = crcs_ref {
-                        let actual = crate::checksum::crc32(decoded);
-                        if actual != crcs[i] {
-                            acc.1 = Some(DecodeError::ChunkChecksumMismatch {
-                                chunk: i as u32,
-                                expected: crcs[i],
-                                actual,
-                            });
-                            return;
-                        }
-                    }
-                    // SAFETY: chunk output regions tile `out` disjointly.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            decoded.as_ptr(),
-                            (out_base as *mut u8).add(region.start),
-                            decoded.len(),
-                        );
-                    }
-                }
-                Err(e) => acc.1 = Some(e),
-            }
-        },
-        |mut a, b| {
-            for (ra, rb) in a.0.iter_mut().zip(&b.0) {
-                ra.kernel.merge(&rb.kernel);
-                ra.bytes_in += rb.bytes_in;
-                ra.bytes_out += rb.bytes_out;
-                // `applied` is repurposed as a per-chunk counter below, so
-                // fold chunk counts through bytes fields only.
-            }
-            if a.1.is_none() {
-                a.1 = b.1;
-            }
-            a
-        },
-    );
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-
-    let mut stage_stats: Vec<StageStats> = stage_names
-        .iter()
-        .map(|n| StageStats {
-            component: n.to_string(),
-            ..Default::default()
-        })
-        .collect();
-    for (s, rec) in records.iter().enumerate() {
-        stage_stats[s].kernel = rec.kernel;
-        stage_stats[s].bytes_in = rec.bytes_in;
-        stage_stats[s].bytes_out = rec.bytes_out;
-    }
-    for &mask in &masks {
-        for (s, st) in stage_stats.iter_mut().enumerate() {
-            if mask & (1 << s) != 0 {
-                st.chunks_applied += 1;
-            } else {
-                st.chunks_skipped += 1;
-            }
-        }
-    }
-    // A deadline that fires after the last chunk but before the whole-file
-    // integrity pass still counts: the CRC walk over `out` is real work.
-    if cancel.is_some_and(|c| c.is_cancelled()) {
-        return Err(DecodeError::Cancelled);
-    }
-    // Integrity: the decoded stream must match the recorded CRC — this is
-    // what turns "plausible but wrong bytes" from payload corruption into
-    // a hard error.
-    let actual = crate::checksum::crc32(&out);
-    if actual != header.crc32 {
-        return Err(DecodeError::ChecksumMismatch {
-            expected: header.crc32,
-            actual,
-        });
-    }
-    let stats = PipelineStats {
-        stages: stage_stats,
-        chunks: n_chunks as u64,
-        uncompressed_bytes: header.original_len,
-        compressed_bytes: (payload_total as usize + n_chunks * header.entry_size()) as u64,
-    };
-    if telemetry {
-        dec_span.arg("decoded_bytes", out.len());
-        lc_telemetry::counter("archive.decode.calls").add(1);
-        lc_telemetry::counter("archive.decode.bytes_in").add(bytes.len() as u64);
-        lc_telemetry::counter("archive.decode.bytes_out").add(out.len() as u64);
-        lc_telemetry::counter("archive.decode.chunks").add(n_chunks as u64);
-    }
-    Ok((out, stats))
-}
-
-/// Like [`decode`], but refuse archives declaring more than
-/// `max_decoded_bytes` of output before allocating anything.
-///
-/// This is the decompression-bomb guard: a hostile archive can declare an
-/// arbitrary `original_len`, and plain [`decode`] would allocate it.
-pub fn decode_bounded<R>(
-    bytes: &[u8],
-    resolve: R,
-    pool: &Pool,
-    max_decoded_bytes: u64,
+    opts: &DecodeOptions<'_>,
 ) -> Result<Vec<u8>, DecodeError>
 where
     R: Fn(&str) -> Option<Arc<dyn Component>>,
 {
-    let header = parse_header(bytes)?;
-    if header.original_len > max_decoded_bytes {
-        return Err(DecodeError::TooLarge {
-            declared: header.original_len,
-            limit: max_decoded_bytes,
-        });
-    }
-    decode(bytes, resolve, pool)
+    decode_chunks(bytes, resolve, pool, opts, false).map(|(out, _)| out)
 }
 
-/// [`decode_bounded`] plus cooperative cancellation: workers poll
-/// `cancel` at every chunk boundary (and once more before the whole-file
-/// CRC pass) and the decode fails with [`DecodeError::Cancelled`] once
-/// it trips. This is the `lc-serve` unpack path — the bomb guard and the
-/// request deadline compose.
-pub fn decode_bounded_cancellable<R>(
-    bytes: &[u8],
-    resolve: R,
-    pool: &Pool,
-    max_decoded_bytes: u64,
-    cancel: &lc_parallel::CancelToken,
-) -> Result<Vec<u8>, DecodeError>
-where
-    R: Fn(&str) -> Option<Arc<dyn Component>>,
-{
-    let header = parse_header(bytes)?;
-    if header.original_len > max_decoded_bytes {
-        return Err(DecodeError::TooLarge {
-            declared: header.original_len,
-            limit: max_decoded_bytes,
-        });
-    }
-    decode_inner(bytes, resolve, pool, Some(cancel)).map(|(out, _)| out)
-}
-
-/// Best-effort decode of a damaged archive.
+/// Best-effort decode of a damaged archive, under the same `opts` as
+/// [`decode_with`].
 ///
 /// Where [`decode`] aborts on the first fault, this decodes every chunk
 /// independently and degrades per chunk:
@@ -908,151 +966,187 @@ where
 /// * a chunk whose payload extent lies (partly) beyond the available
 ///   bytes — mid-stream truncation — is lost as `Truncated`;
 /// * a chunk whose decoder returns an error is lost with that error;
-/// * a chunk whose decoder **panics** is caught and lost as `Corrupt`
-///   (decoders must not panic, but salvage is exactly the place to
-///   survive the ones that do);
+/// * a chunk whose decoder **panics** is lost as `Corrupt`;
 /// * a v3 chunk whose decoded bytes miss their per-chunk CRC is lost as
 ///   `ChunkChecksumMismatch`.
 ///
 /// Lost chunks' output regions are zero-filled, so the returned buffer
 /// always has the declared length with recovered chunks at their exact
 /// offsets. Hard errors remain only for damage that makes per-chunk
-/// recovery meaningless: unusable header or chunk table, or an unknown
-/// component.
+/// recovery meaningless (unusable header or chunk table, an unknown
+/// component), for the size bound and for cancellation.
 ///
-/// For v2 archives (no per-chunk CRC) only structural faults are
-/// detectable per chunk; value-level damage shows up solely as
+/// Without per-chunk CRCs (v2 archives, LCRS streams) only structural
+/// faults are detectable per chunk; value-level damage shows up solely as
 /// `archive_crc_ok == false` in the report.
-pub fn decode_salvage<R>(
+pub fn salvage<R>(
     bytes: &[u8],
     resolve: R,
     pool: &Pool,
+    opts: &DecodeOptions<'_>,
 ) -> Result<(Vec<u8>, SalvageReport), DecodeError>
 where
     R: Fn(&str) -> Option<Arc<dyn Component>>,
 {
-    let header = parse_header(bytes)?;
-    let stages: Vec<Arc<dyn Component>> = header
+    decode_chunks(bytes, resolve, pool, opts, true)
+}
+
+/// The one decode core behind [`decode_with`] (`salvage == false`) and
+/// [`salvage`].
+fn decode_chunks<R>(
+    bytes: &[u8],
+    resolve: R,
+    pool: &Pool,
+    opts: &DecodeOptions<'_>,
+    salvage: bool,
+) -> Result<(Vec<u8>, SalvageReport), DecodeError>
+where
+    R: Fn(&str) -> Option<Arc<dyn Component>>,
+{
+    let layout = parse_layout(bytes, pool)?;
+    if let Some(limit) = opts.max_decoded_bytes {
+        if layout.original_len > limit {
+            return Err(DecodeError::TooLarge {
+                declared: layout.original_len,
+                limit,
+            });
+        }
+    }
+    let stages: Vec<Arc<dyn Component>> = layout
         .stage_names
         .iter()
         .map(|n| resolve(n).ok_or_else(|| DecodeError::UnknownComponent(n.clone())))
         .collect::<Result<_, _>>()?;
-
-    let n_chunks = header.chunks as usize;
-    let ChunkTable { masks, sizes, crcs } = parse_chunk_table(bytes, &header);
-    let (offsets, _) = lc_parallel::scan::parallel_exclusive_scan(pool, &sizes);
-    let payload = &bytes[header.payload_offset..];
-
-    let original_len = header.original_len as usize;
-    let stages_ref = &stages;
-    let crcs_ref = crcs.as_deref();
-    let telemetry = lc_telemetry::active();
-    let costs = if telemetry {
-        stage_costs(&stages, "decode")
+    let set = StageSet::new(&stages, "decode");
+    let n_chunks = layout.masks.len();
+    let name = if salvage {
+        "archive.decode_salvage"
     } else {
-        Vec::new()
+        "archive.decode"
     };
-    let costs_ref = &costs;
-    let _salvage_span = span!(
-        "archive.decode_salvage",
-        bytes = bytes.len(),
-        chunks = n_chunks
-    );
-
-    // Decode all chunks independently; panics are fenced per chunk so one
-    // poisoned payload cannot take down its siblings.
-    let results: Vec<Result<Vec<u8>, DecodeError>> = pool.map(n_chunks, |i| {
-        let start = offsets[i] as usize;
-        let end = start.saturating_add(sizes[i] as usize);
-        if end > payload.len() {
-            return Err(DecodeError::Truncated {
-                context: "chunk payload",
-            });
-        }
-        let region = chunk_range(i, original_len);
-        let mut records = vec![StageRecord::default(); stages_ref.len()];
-        // Salvage is the cold path: a per-chunk arena (and an owned copy
-        // of the recovered bytes) is fine here — isolation matters more
-        // than allocation traffic.
-        let decoded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut scratch = Scratch::new();
-            decode_chunk_into(
-                stages_ref,
-                masks[i],
-                &payload[start..end],
-                region.len(),
-                &mut records,
-                i,
-                telemetry,
-                costs_ref,
-                &mut scratch,
-            )
-            .map(|d| d.to_vec())
-        }))
-        .unwrap_or(Err(DecodeError::Corrupt {
-            context: "decoder panicked",
-        }))?;
-        if let Some(crcs) = crcs_ref {
-            let actual = crate::checksum::crc32(&decoded);
-            if actual != crcs[i] {
-                return Err(DecodeError::ChunkChecksumMismatch {
-                    chunk: i as u32,
-                    expected: crcs[i],
-                    actual,
-                });
-            }
-        }
-        Ok(decoded)
-    });
-
-    // Assemble: recovered chunks at their exact offsets, losses zeroed.
-    let mut out = vec![0u8; original_len];
-    let mut errors = Vec::new();
-    let mut recovered = 0u32;
-    for (i, res) in results.into_iter().enumerate() {
-        match res {
-            Ok(decoded) => {
-                let region = chunk_range(i, original_len);
-                out[region].copy_from_slice(&decoded);
-                recovered += 1;
-            }
-            Err(error) => errors.push(ChunkFault {
-                chunk: i as u32,
-                error,
-            }),
-        }
-    }
-    let lost = errors.len() as u32;
-    let archive_crc_ok = crate::checksum::crc32(&out) == header.crc32;
-    Ok((
-        out,
-        SalvageReport {
-            recovered,
-            lost,
-            errors,
-            archive_crc_ok,
-        },
-    ))
-}
-
-/// [`decode_salvage`] behind the same size guard as [`decode_bounded`].
-pub fn decode_salvage_bounded<R>(
-    bytes: &[u8],
-    resolve: R,
-    pool: &Pool,
-    max_decoded_bytes: u64,
-) -> Result<(Vec<u8>, SalvageReport), DecodeError>
-where
-    R: Fn(&str) -> Option<Arc<dyn Component>>,
-{
-    let header = parse_header(bytes)?;
-    if header.original_len > max_decoded_bytes {
-        return Err(DecodeError::TooLarge {
-            declared: header.original_len,
-            limit: max_decoded_bytes,
+    let mut dec_span = span!(name, bytes = bytes.len(), chunks = n_chunks);
+    // Strict decode wants every byte accounted for; salvage takes what
+    // is there and loses the chunks whose payload is missing.
+    if !salvage && layout.end != bytes.len() as u64 {
+        return Err(DecodeError::Corrupt {
+            context: "payload size",
         });
     }
-    decode_salvage(bytes, resolve, pool)
+
+    let original_len = layout.original_len as usize;
+    let mut out = vec![0u8; original_len];
+    let out_base = out.as_mut_ptr() as usize;
+    let cancel = opts.cancel;
+    // Strict decode reports the lowest-index fault. Chunks above the
+    // lowest fault seen so far are skipped; chunks below it always run,
+    // so the answer does not depend on worker timing.
+    let lowest_fault = AtomicUsize::new(usize::MAX);
+    let (_, mut errors) = pool.fold(
+        n_chunks,
+        || (Scratch::new(), Vec::new()),
+        |(scratch, errors): &mut (Scratch, Vec<ChunkFault>), i| {
+            // Deadline/shutdown poll at the chunk boundary: already-claimed
+            // chunks complete, remaining claims drain without work.
+            if cancel.is_some_and(|c| c.is_cancelled())
+                || (!salvage && i > lowest_fault.load(Ordering::Relaxed))
+            {
+                return;
+            }
+            match decode_one(&set, &layout, bytes, i, scratch) {
+                // SAFETY: chunk output regions tile `out` disjointly.
+                Ok(decoded) => unsafe {
+                    std::ptr::copy_nonoverlapping(
+                        decoded.as_ptr(),
+                        (out_base as *mut u8).add(i * CHUNK_SIZE),
+                        decoded.len(),
+                    );
+                },
+                Err(error) => {
+                    lowest_fault.fetch_min(i, Ordering::Relaxed);
+                    errors.push(ChunkFault {
+                        chunk: i as u32,
+                        error,
+                    });
+                }
+            }
+        },
+        |(s, mut a), (_, b)| {
+            a.extend(b);
+            (s, a)
+        },
+    );
+    // A deadline that fires after the last chunk but before the
+    // whole-output integrity pass still counts: that pass is real work.
+    if cancel.is_some_and(|c| c.is_cancelled()) {
+        return Err(DecodeError::Cancelled);
+    }
+    errors.sort_by_key(|f| f.chunk);
+    if !salvage && !errors.is_empty() {
+        return Err(errors.swap_remove(0).error);
+    }
+    // Integrity: the decoded output must match the recorded CRC — this is
+    // what turns "plausible but wrong bytes" that no per-chunk check
+    // caught into a hard error (strict) or `archive_crc_ok == false`.
+    let actual = crate::checksum::crc32(&out);
+    if !salvage && actual != layout.crc32 {
+        return Err(DecodeError::ChecksumMismatch {
+            expected: layout.crc32,
+            actual,
+        });
+    }
+    if set.telemetry && !salvage {
+        dec_span.arg("decoded_bytes", out.len());
+        lc_telemetry::counter("archive.decode.calls").add(1);
+        lc_telemetry::counter("archive.decode.bytes_in").add(bytes.len() as u64);
+        lc_telemetry::counter("archive.decode.bytes_out").add(out.len() as u64);
+        lc_telemetry::counter("archive.decode.chunks").add(n_chunks as u64);
+    }
+    let lost = errors.len() as u32;
+    let report = SalvageReport {
+        recovered: n_chunks as u32 - lost,
+        lost,
+        errors,
+        archive_crc_ok: actual == layout.crc32,
+    };
+    Ok((out, report))
+}
+
+/// Decode chunk `i` into the worker's arena and validate it against its
+/// per-chunk CRC, returning a view of the recovered bytes.
+fn decode_one<'s>(
+    set: &StageSet<'_>,
+    layout: &Layout,
+    bytes: &'s [u8],
+    i: usize,
+    scratch: &'s mut Scratch,
+) -> Result<&'s [u8], DecodeError> {
+    let start = layout.offsets[i] as usize;
+    let payload = start
+        .checked_add(layout.sizes[i] as usize)
+        .and_then(|end| bytes.get(start..end))
+        .ok_or(DecodeError::Truncated {
+            context: "chunk payload",
+        })?;
+    let expected_len = chunk_range(i, layout.original_len as usize).len();
+    // Decoders must not panic, but one that does loses only its chunk.
+    let decoded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+        let scratch = scratch; // moved in, so the view may outlive the call
+        decode_chunk_into(set, layout.masks[i], payload, expected_len, i, scratch)
+    }))
+    .unwrap_or(Err(DecodeError::Corrupt {
+        context: "decoder panicked",
+    }))?;
+    if let Some(crcs) = &layout.crcs {
+        let actual = crate::checksum::crc32(decoded);
+        if actual != crcs[i] {
+            return Err(DecodeError::ChunkChecksumMismatch {
+                chunk: i as u32,
+                expected: crcs[i],
+                actual,
+            });
+        }
+    }
+    Ok(decoded)
 }
 
 /// Decode one chunk into the worker's arena, returning a borrowed view
@@ -1064,86 +1158,53 @@ where
 /// copy-on-expand — the returned slice *is* `payload`: decode of such a
 /// chunk touches no buffer at all and the caller copies the stored
 /// bytes straight into the output region.
-#[allow(clippy::too_many_arguments)]
 fn decode_chunk_into<'s>(
-    stages: &[Arc<dyn Component>],
+    set: &StageSet<'_>,
     mask: u8,
     payload: &'s [u8],
     expected_len: usize,
-    records: &mut [StageRecord],
     chunk_index: usize,
-    telemetry: bool,
-    costs: &[StageCost],
     scratch: &'s mut Scratch,
 ) -> Result<&'s [u8], DecodeError> {
+    let mut kernel = KernelStats::new();
     let mut live = Live::Input;
     // Inverse transformations in reverse order (paper Fig. 1).
-    for (s, comp) in stages.iter().enumerate().rev() {
+    for (s, comp) in set.stages.iter().enumerate().rev() {
         if mask & (1 << s) == 0 {
             // Stage skipped during encode (copy-on-expand): nothing to
             // undo. Record a zero-duration span so traces show the skip.
-            if telemetry {
-                let mut sp = Span::begin(
-                    "stage.decode",
-                    comp.name(),
-                    vec![
-                        ("chunk", ArgValue::from(chunk_index)),
-                        ("skipped", ArgValue::from(true)),
-                    ],
-                );
-                sp.with_histogram();
-            }
+            set.stage_span("stage.decode", comp.as_ref(), || {
+                vec![
+                    ("chunk", ArgValue::from(chunk_index)),
+                    ("skipped", ArgValue::from(true)),
+                ]
+            });
             continue;
         }
-        let rec = &mut records[s];
         let bytes_in = match live {
             Live::Input => payload.len(),
             Live::A => scratch.a.len(),
             Live::B => scratch.b.len(),
         };
-        rec.bytes_in += bytes_in as u64;
-        let mut sp = if telemetry {
-            let mut sp = Span::begin(
-                "stage.decode",
-                comp.name(),
-                vec![
-                    ("chunk", ArgValue::from(chunk_index)),
-                    ("bytes_in", ArgValue::from(bytes_in)),
-                ],
-            );
-            sp.with_histogram();
-            sp
-        } else {
-            Span::disabled()
-        };
-        let t0 = if telemetry { lc_telemetry::now_ns() } else { 0 };
+        let mut sp = set.stage_span("stage.decode", comp.as_ref(), || {
+            vec![
+                ("chunk", ArgValue::from(chunk_index)),
+                ("bytes_in", ArgValue::from(bytes_in)),
+            ]
+        });
+        let t0 = set.now();
         let stage_result = match live {
-            Live::Input => crate::scratch::decode_stage(
-                comp.as_ref(),
-                payload,
-                &mut scratch.a,
-                &mut rec.kernel,
-            ),
-            Live::A => crate::scratch::decode_stage(
-                comp.as_ref(),
-                &scratch.a,
-                &mut scratch.b,
-                &mut rec.kernel,
-            ),
-            Live::B => crate::scratch::decode_stage(
-                comp.as_ref(),
-                &scratch.b,
-                &mut scratch.a,
-                &mut rec.kernel,
-            ),
+            Live::Input => {
+                crate::scratch::decode_stage(comp.as_ref(), payload, &mut scratch.a, &mut kernel)
+            }
+            Live::A => {
+                crate::scratch::decode_stage(comp.as_ref(), &scratch.a, &mut scratch.b, &mut kernel)
+            }
+            Live::B => {
+                crate::scratch::decode_stage(comp.as_ref(), &scratch.b, &mut scratch.a, &mut kernel)
+            }
         };
-        if telemetry {
-            costs[s].bytes.add(bytes_in as u64);
-            costs[s]
-                .ns
-                .record(lc_telemetry::now_ns().saturating_sub(t0));
-            costs[s].kernel.add(1);
-        }
+        set.charge(s, bytes_in as u64, t0);
         stage_result?;
         live = live.advance();
         let bytes_out = match live {
@@ -1151,8 +1212,6 @@ fn decode_chunk_into<'s>(
             _ => scratch.b.len(),
         };
         sp.arg("bytes_out", bytes_out);
-        drop(sp);
-        records[s].bytes_out += bytes_out as u64;
     }
     let cur: &[u8] = match live {
         Live::Input => payload,
@@ -1171,7 +1230,7 @@ fn decode_chunk_into<'s>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::CHUNK_SIZE;
+    use crate::component::{Complexity, ComponentKind};
     use crate::pipeline::test_support::{AddOne, DropTrailingZeros};
 
     fn resolver(name: &str) -> Option<Arc<dyn Component>> {
@@ -1179,6 +1238,43 @@ mod tests {
             "ADD1_1" => Some(Arc::new(AddOne)),
             "DTZ_1" => Some(Arc::new(DropTrailingZeros)),
             _ => None,
+        }
+    }
+
+    /// Stands in for `DTZ_1` at decode time and panics if ever asked to
+    /// undo a chunk.
+    struct PanickingDtz;
+
+    impl Component for PanickingDtz {
+        fn name(&self) -> &'static str {
+            "DTZ_1"
+        }
+        fn kind(&self) -> ComponentKind {
+            ComponentKind::Reducer
+        }
+        fn word_size(&self) -> usize {
+            1
+        }
+        fn complexity(&self) -> Complexity {
+            DropTrailingZeros.complexity()
+        }
+        fn encode_chunk(&self, input: &[u8], out: &mut Vec<u8>, stats: &mut KernelStats) {
+            DropTrailingZeros.encode_chunk(input, out, stats);
+        }
+        fn decode_chunk(
+            &self,
+            _: &[u8],
+            _: &mut Vec<u8>,
+            _: &mut KernelStats,
+        ) -> Result<(), DecodeError> {
+            panic!("DTZ_1 decode ran");
+        }
+    }
+
+    fn panicking_resolver(name: &str) -> Option<Arc<dyn Component>> {
+        match name {
+            "DTZ_1" => Some(Arc::new(PanickingDtz)),
+            other => resolver(other),
         }
     }
 
@@ -1191,6 +1287,13 @@ mod tests {
         let archive = encode(&pipeline(), input, &pool);
         let out = decode(&archive, resolver, &pool).unwrap();
         assert_eq!(out, input);
+    }
+
+    fn bounded(max: u64) -> DecodeOptions<'static> {
+        DecodeOptions {
+            max_decoded_bytes: Some(max),
+            cancel: None,
+        }
     }
 
     #[test]
@@ -1245,14 +1348,35 @@ mod tests {
     }
 
     #[test]
-    fn decode_stats_skip_means_zero_decode_work() {
-        let data: Vec<u8> = (0..CHUNK_SIZE).map(|i| (i % 200) as u8 + 1).collect();
+    fn skipped_stage_does_no_decode_work() {
+        // DTZ is skipped on every chunk, so a DTZ decoder that panics on
+        // any call is never reached.
+        let data = incompressible(2);
         let pool = Pool::new(2);
         let archive = encode(&pipeline(), &data, &pool);
-        let (_, stats) = decode_with_stats(&archive, resolver, &pool).unwrap();
-        assert_eq!(stats.stages[1].chunks_applied, 0);
-        assert!(stats.stages[1].kernel.is_zero());
-        assert!(!stats.stages[0].kernel.is_zero());
+        assert_eq!(decode(&archive, panicking_resolver, &pool).unwrap(), data);
+    }
+
+    #[test]
+    fn strict_decode_fences_decoder_panics() {
+        let mut data = vec![1u8; 1000];
+        data.extend(vec![0xFFu8; CHUNK_SIZE - 1000]);
+        let pool = Pool::new(2);
+        let archive = encode(&pipeline(), &data, &pool);
+        assert_eq!(
+            decode(&archive, panicking_resolver, &pool).unwrap_err(),
+            DecodeError::Corrupt {
+                context: "decoder panicked"
+            }
+        );
+        let (_, report) = salvage(
+            &archive,
+            panicking_resolver,
+            &pool,
+            &DecodeOptions::default(),
+        )
+        .unwrap();
+        assert_eq!((report.recovered, report.lost), (0, 1));
     }
 
     #[test]
@@ -1327,7 +1451,7 @@ mod tests {
     }
 
     /// Rewrite a v3 archive as v2 (drop per-chunk CRCs) to exercise the
-    /// backward-compatibility path without a frozen binary fixture.
+    /// backward-compatibility path.
     fn downgrade_to_v2(archive: &[u8]) -> Vec<u8> {
         let h = parse_header(archive).unwrap();
         assert_eq!(h.version, 3);
@@ -1356,16 +1480,25 @@ mod tests {
 
     #[test]
     fn chunk_crc_localizes_value_damage() {
-        let pool = Pool::new(4);
         let data = incompressible(4);
-        let mut archive = encode(&pipeline(), &data, &pool);
-        let h = parse_header(&archive).unwrap();
-        // Every chunk stored at full size (DTZ skipped): chunk 2's payload
-        // starts 2*CHUNK_SIZE into the payload region.
-        archive[h.payload_offset + 2 * CHUNK_SIZE + 100] ^= 0xFF;
-        match decode(&archive, resolver, &pool).unwrap_err() {
-            DecodeError::ChunkChecksumMismatch { chunk, .. } => assert_eq!(chunk, 2),
-            other => panic!("expected ChunkChecksumMismatch, got {other:?}"),
+        let clean = encode(&pipeline(), &data, &Pool::new(4));
+        let h = parse_header(&clean).unwrap();
+        for damaged in [&[1usize, 3][..], &[1, 2, 3]] {
+            let mut archive = clean.clone();
+            // Every chunk stored at full size (DTZ skipped): chunk i's
+            // payload starts i*CHUNK_SIZE into the payload region.
+            for &i in damaged {
+                archive[h.payload_offset + i * CHUNK_SIZE + 100] ^= 0xFF;
+            }
+            // The lowest damaged chunk is the answer on every pool size.
+            for threads in [1, 2, 4] {
+                match decode(&archive, resolver, &Pool::new(threads)).unwrap_err() {
+                    DecodeError::ChunkChecksumMismatch { chunk, .. } => {
+                        assert_eq!(chunk, 1, "{damaged:?}, {threads} threads")
+                    }
+                    other => panic!("expected ChunkChecksumMismatch, got {other:?}"),
+                }
+            }
         }
     }
 
@@ -1374,7 +1507,7 @@ mod tests {
         let pool = Pool::new(4);
         let data = incompressible(3);
         let archive = encode(&pipeline(), &data, &pool);
-        let (out, report) = decode_salvage(&archive, resolver, &pool).unwrap();
+        let (out, report) = salvage(&archive, resolver, &pool, &DecodeOptions::default()).unwrap();
         assert_eq!(out, data);
         assert!(report.is_clean());
         assert_eq!(report.recovered, 3);
@@ -1391,7 +1524,7 @@ mod tests {
         for damaged in [1usize, 3] {
             archive[h.payload_offset + damaged * CHUNK_SIZE + 7] ^= 0x55;
         }
-        let (out, report) = decode_salvage(&archive, resolver, &pool).unwrap();
+        let (out, report) = salvage(&archive, resolver, &pool, &DecodeOptions::default()).unwrap();
         assert_eq!(report.recovered, 3);
         assert_eq!(report.lost, 2);
         assert!(!report.archive_crc_ok);
@@ -1418,7 +1551,7 @@ mod tests {
         // Cut inside chunk 2's payload: chunks 0 and 1 stay whole, chunk 2
         // is partial, chunk 3 is gone.
         let cut = &archive[..h.payload_offset + 2 * CHUNK_SIZE + 10];
-        let (out, report) = decode_salvage(cut, resolver, &pool).unwrap();
+        let (out, report) = salvage(cut, resolver, &pool, &DecodeOptions::default()).unwrap();
         assert_eq!(report.recovered, 2);
         assert_eq!(report.lost, 2);
         assert!(report
@@ -1436,7 +1569,7 @@ mod tests {
         let mut v2 = downgrade_to_v2(&encode(&pipeline(), &data, &pool));
         let h = parse_header(&v2).unwrap();
         v2[h.payload_offset + CHUNK_SIZE + 9] ^= 0x01;
-        let (_, report) = decode_salvage(&v2, resolver, &pool).unwrap();
+        let (_, report) = salvage(&v2, resolver, &pool, &DecodeOptions::default()).unwrap();
         // Without per-chunk CRCs the damaged chunk decodes "successfully";
         // only the whole-archive CRC betrays the corruption.
         assert_eq!(report.lost, 0);
@@ -1449,7 +1582,8 @@ mod tests {
         let pool = Pool::new(2);
         let data = incompressible(2);
         let archive = encode(&pipeline(), &data, &pool);
-        let err = decode_bounded(&archive, resolver, &pool, data.len() as u64 - 1).unwrap_err();
+        let err =
+            decode_with(&archive, resolver, &pool, &bounded(data.len() as u64 - 1)).unwrap_err();
         assert_eq!(
             err,
             DecodeError::TooLarge {
@@ -1458,10 +1592,72 @@ mod tests {
             }
         );
         assert_eq!(
-            decode_bounded(&archive, resolver, &pool, data.len() as u64).unwrap(),
+            decode_with(&archive, resolver, &pool, &bounded(data.len() as u64)).unwrap(),
             data
         );
-        let err = decode_salvage_bounded(&archive, resolver, &pool, 16).unwrap_err();
+        let err = salvage(&archive, resolver, &pool, &bounded(16)).unwrap_err();
         assert!(matches!(err, DecodeError::TooLarge { .. }));
+    }
+
+    #[test]
+    fn cancelled_decode_and_salvage_stop() {
+        let pool = Pool::new(2);
+        let archive = encode(&pipeline(), &incompressible(3), &pool);
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let opts = DecodeOptions {
+            max_decoded_bytes: None,
+            cancel: Some(&cancel),
+        };
+        assert_eq!(
+            decode_with(&archive, resolver, &pool, &opts).unwrap_err(),
+            DecodeError::Cancelled
+        );
+        assert_eq!(
+            salvage(&archive, resolver, &pool, &opts).unwrap_err(),
+            DecodeError::Cancelled
+        );
+    }
+
+    fn windowed(data: &[u8], len: u64) -> std::io::Result<Vec<u8>> {
+        let mut out = std::io::Cursor::new(Vec::new());
+        let (written, stats) =
+            encode_windowed(&pipeline(), &mut &data[..], len, &mut out, &Pool::new(2))?;
+        assert_eq!(written, out.get_ref().len() as u64);
+        assert_eq!(stats.uncompressed_bytes, len);
+        Ok(out.into_inner())
+    }
+
+    #[test]
+    fn windowed_writer_matches_in_memory_encode() {
+        let pool = Pool::new(2);
+        let window = WINDOW_CHUNKS * CHUNK_SIZE;
+        for len in [0, 1, CHUNK_SIZE, window, window + CHUNK_SIZE + 17] {
+            let mut data: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+            // Trailing 0xFF bytes turn into zeros DTZ can drop, so masks
+            // differ between chunks.
+            data.iter_mut().skip(len / 2).for_each(|b| *b = 0xFF);
+            let res = encode_with_stats(&pipeline(), &data, &pool);
+            let mut out = std::io::Cursor::new(Vec::new());
+            let (_, stats) =
+                encode_windowed(&pipeline(), &mut &data[..], len as u64, &mut out, &pool).unwrap();
+            assert_eq!(out.into_inner(), res.archive, "len {len}");
+            assert_eq!(
+                format!("{stats:?}"),
+                format!("{:?}", res.stats),
+                "len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn windowed_writer_refuses_a_wrong_length() {
+        let data = incompressible(2);
+        let n = data.len() as u64;
+        assert!(windowed(&data, n).is_ok());
+        let short = windowed(&data, n + 1).unwrap_err();
+        assert_eq!(short.kind(), std::io::ErrorKind::UnexpectedEof);
+        let long = windowed(&data, n - 1).unwrap_err();
+        assert_eq!(long.kind(), std::io::ErrorKind::InvalidData);
     }
 }

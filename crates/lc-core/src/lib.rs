@@ -30,10 +30,11 @@ pub mod error;
 pub mod pipeline;
 pub mod scratch;
 pub mod stats;
-pub mod stream;
 pub mod verify;
 
-pub use archive::{decode, decode_with_stats, encode, encode_with_stats, Archive, EncodeResult};
+pub use archive::{
+    decode, decode_with, encode, encode_with_stats, salvage, Archive, DecodeOptions, EncodeResult,
+};
 pub use chunk::CHUNK_SIZE;
 pub use component::{Complexity, Component, ComponentKind, KernelVariant, SpanClass, WorkClass};
 pub use contract::{CommuteClass, Contract, ExpansionBound, SizeClass, SizeDeterminant};

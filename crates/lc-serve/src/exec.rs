@@ -24,7 +24,7 @@ use crate::proto::{ErrorKind, Op, Request, Response};
 pub struct ExecContext {
     /// The stage-execution pool shared by every request.
     pub pool: Pool,
-    /// Decompression-bomb guard for `unpack`.
+    /// Decompression-bomb guard for `unpack` and `salvage`.
     pub max_decoded_bytes: u64,
     /// Request-memory governor (admission control).
     pub mem: Arc<MemGovernor>,
@@ -116,7 +116,7 @@ where
                 None => cancel_response(cancel),
             }
         }
-        Op::Unpack => {
+        Op::Unpack | Op::Salvage => {
             // Learn the declared output size and grow the lease before
             // the output buffer exists; refusal sheds, exactly like
             // front-door admission.
@@ -130,40 +130,34 @@ where
                 }
                 Err(e) => return decode_error_response(e, cancel),
             }
-            match archive::decode_bounded_cancellable(
-                &req.payload,
-                resolve,
-                &ctx.pool,
-                ctx.max_decoded_bytes,
-                cancel,
-            ) {
+            let opts = archive::DecodeOptions {
+                max_decoded_bytes: Some(ctx.max_decoded_bytes),
+                cancel: Some(cancel),
+            };
+            let decoded = if req.op == Op::Unpack {
+                archive::decode_with(&req.payload, resolve, &ctx.pool, &opts)
+            } else {
+                match archive::salvage(&req.payload, resolve, &ctx.pool, &opts) {
+                    Ok((bytes, report)) if report.is_clean() => Ok(bytes),
+                    Ok((_, report)) => {
+                        return Response::Err {
+                            kind: ErrorKind::Salvage,
+                            message: format!(
+                                "salvage recovered {} of {} chunks (archive crc ok: {})",
+                                report.recovered,
+                                report.recovered + report.lost,
+                                report.archive_crc_ok
+                            ),
+                        }
+                    }
+                    Err(e) => Err(e),
+                }
+            };
+            match decoded {
                 Ok(bytes) => Response::Ok(bytes),
                 Err(e) => decode_error_response(e, cancel),
             }
         }
-        Op::Salvage => match archive::decode_salvage_bounded(
-            &req.payload,
-            resolve,
-            &ctx.pool,
-            ctx.max_decoded_bytes,
-        ) {
-            Ok((bytes, report)) => {
-                if report.is_clean() {
-                    Response::Ok(bytes)
-                } else {
-                    Response::Err {
-                        kind: ErrorKind::Salvage,
-                        message: format!(
-                            "salvage recovered {} of {} chunks (archive crc ok: {})",
-                            report.recovered,
-                            report.recovered + report.lost,
-                            report.archive_crc_ok
-                        ),
-                    }
-                }
-            }
-            Err(e) => decode_error_response(e, cancel),
-        },
         Op::Stat => match archive::parse_header(&req.payload) {
             Ok(header) => {
                 let v = lc_json::Value::object([

@@ -158,7 +158,7 @@ fn ctx() -> ExecContext {
 }
 
 /// Encode the test payload with the slow pipeline (no deadline) to get
-/// an archive for the unpack cases.
+/// an archive for the unpack and salvage cases.
 fn archive_for(slow_stage: usize) -> Vec<u8> {
     let resolve = resolver(0); // no sleeps while preparing
     let pipeline = lc_core::Pipeline::parse("SLOW1_1 SLOW2_1 SLOW3_1", &resolve)
@@ -166,7 +166,7 @@ fn archive_for(slow_stage: usize) -> Vec<u8> {
     let pool = Pool::new(1);
     let res = lc_core::archive::encode_with_stats(&pipeline, &payload(), &pool);
     // Applied-stage sanity: the reducer must have been applied on every
-    // chunk, or the unpack cases would never execute the slow stage.
+    // chunk, or the decode cases would never execute the slow stage.
     assert!(
         res.archive.len() < payload().len(),
         "slow_stage={slow_stage}: archive did not shrink; reducer was skipped"
@@ -200,13 +200,13 @@ fn run_case(op: Op, fire: Fire) {
             pipeline: "SLOW1_1 SLOW2_1 SLOW3_1".to_string(),
             payload: payload(),
         },
-        Op::Unpack => Request {
+        Op::Unpack | Op::Salvage => Request {
             op,
             deadline_ms: 0,
             pipeline: String::new(),
             payload: archive_for(slow_stage),
         },
-        other => panic!("table covers pack/unpack, not {other:?}"),
+        other => panic!("table covers pack/unpack/salvage, not {other:?}"),
     };
     assert_eq!(ctx.mem.resident_bytes(), 0, "baseline residency");
     let token = match fire {
@@ -291,6 +291,31 @@ fn unpack_generous_deadline_completes() {
     run_case(Op::Unpack, Fire::AfterCompletion);
 }
 
+#[test]
+fn salvage_deadline_before_pipeline() {
+    run_case(Op::Salvage, Fire::BeforePipeline);
+}
+
+#[test]
+fn salvage_deadline_inside_stage_1() {
+    run_case(Op::Salvage, Fire::InsideStage(1));
+}
+
+#[test]
+fn salvage_deadline_inside_stage_2() {
+    run_case(Op::Salvage, Fire::InsideStage(2));
+}
+
+#[test]
+fn salvage_deadline_inside_stage_3() {
+    run_case(Op::Salvage, Fire::InsideStage(3));
+}
+
+#[test]
+fn salvage_generous_deadline_completes() {
+    run_case(Op::Salvage, Fire::AfterCompletion);
+}
+
 /// The same termination + no-leak guarantee when the budget (not the
 /// deadline) refuses the request: a shed also releases everything.
 #[test]
@@ -314,4 +339,35 @@ fn shed_under_budget_pressure_releases_leases() {
         "expected shed, got {resp:?}"
     );
     assert_eq!(ctx.mem.resident_bytes(), 0, "shed leaked a lease");
+}
+
+/// Unpack and salvage both lease their declared output size before
+/// allocating it: a budget that admits the archive but not its decoded
+/// size sheds either op, and releases the admission lease.
+#[test]
+fn decode_ops_lease_their_declared_output() {
+    let resolve = resolver(0);
+    let archive = archive_for(0);
+    // The front-door lease (payload twice plus the 64 KiB floor) fits;
+    // growing it by the 96 kB of declared output does not.
+    let admitted = 2 * archive.len() as u64 + 64 * 1024;
+    for op in [Op::Unpack, Op::Salvage] {
+        let ctx = ExecContext {
+            pool: Pool::new(1),
+            max_decoded_bytes: 1 << 30,
+            mem: MemGovernor::new(Some(admitted + 1024)),
+        };
+        let req = Request {
+            op,
+            deadline_ms: 0,
+            pipeline: String::new(),
+            payload: archive.clone(),
+        };
+        let resp = execute(&req, &resolve, &ctx, &CancelToken::new());
+        assert!(
+            matches!(resp, Response::Shed { .. }),
+            "{op:?}: expected shed, got {resp:?}"
+        );
+        assert_eq!(ctx.mem.resident_bytes(), 0, "{op:?}: leaked a lease");
+    }
 }

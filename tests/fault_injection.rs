@@ -4,7 +4,7 @@
 //! or unbounded allocation.
 
 use lc_repro::lc_components::{all, lookup, parse_pipeline};
-use lc_repro::lc_core::{archive, KernelStats, CHUNK_SIZE};
+use lc_repro::lc_core::{archive, DecodeError, KernelStats, CHUNK_SIZE};
 use lc_repro::lc_parallel::Pool;
 
 /// Deterministic pattern with mixed structure so every reducer both
@@ -113,12 +113,22 @@ fn archive_chunk_table_lies() {
             let _ = archive::decode(&bad, lookup, &pool);
             // Salvage must also survive table lies: it either hard-errors
             // or returns a report, never panics.
-            if let Ok((out, report)) = archive::decode_salvage(&bad, lookup, &pool) {
+            if let Ok((out, report)) = salvage(&bad) {
                 assert_eq!(out.len() as u64, h.original_len);
                 assert_eq!(report.recovered + report.lost, h.chunks);
             }
         }
     }
+}
+
+/// Salvage with no bound and no cancel token, on a 2-thread pool.
+fn salvage(bytes: &[u8]) -> Result<(Vec<u8>, archive::SalvageReport), DecodeError> {
+    archive::salvage(
+        bytes,
+        lookup,
+        &Pool::new(2),
+        &archive::DecodeOptions::default(),
+    )
 }
 
 /// splitmix64 — tiny seeded generator so the corruption fuzz below is
@@ -152,11 +162,20 @@ fn seeded_multibyte_corruption_decode_and_salvage() {
             bad[pos] ^= (rng.next() % 255 + 1) as u8;
         }
         // Strict decode: error or (if the corruption landed in slack
-        // bytes) success — never a panic.
+        // bytes) success — never a panic. Either way the same answer on
+        // every pool size: with several damaged chunks the lowest-index
+        // fault wins.
         let strict = archive::decode(&bad, lookup, &pool);
+        for threads in [1, 2] {
+            assert_eq!(
+                archive::decode(&bad, lookup, &Pool::new(threads)),
+                strict,
+                "seed {seed}: {threads}-thread strict decode differs from 4 threads"
+            );
+        }
         // Salvage: same no-panic guarantee, plus a coherent report
         // whenever the header survived.
-        match archive::decode_salvage(&bad, lookup, &pool) {
+        match salvage(&bad) {
             Ok((out, report)) => {
                 let bh = archive::parse_header(&bad).unwrap();
                 assert_eq!(out.len() as u64, bh.original_len, "seed {seed}");
@@ -194,7 +213,7 @@ fn header_field_mutation_against_salvage() {
         for val in [0x00u8, 0xFF, 0x80, enc[pos].wrapping_add(1)] {
             let mut bad = enc.clone();
             bad[pos] = val;
-            let _ = archive::decode_salvage(&bad, lookup, &pool); // must not panic
+            let _ = salvage(&bad); // must not panic
         }
     }
 }
@@ -212,7 +231,7 @@ fn mid_stream_truncation_decode_and_salvage() {
         // Strict decode of a truncated archive must error (the payload
         // size check catches every cut past the header).
         assert!(archive::decode(trunc, lookup, &pool).is_err(), "cut {cut}");
-        match archive::decode_salvage(trunc, lookup, &pool) {
+        match salvage(trunc) {
             Ok((out, report)) => {
                 // Header + table survived: salvage recovers the chunks
                 // whose payload extent is still fully present.
@@ -227,7 +246,7 @@ fn mid_stream_truncation_decode_and_salvage() {
         }
     }
     // Full-length sanity: untruncated archive salvages cleanly.
-    let (out, report) = archive::decode_salvage(&enc, lookup, &pool).unwrap();
+    let (out, report) = salvage(&enc).unwrap();
     assert_eq!(out, data);
     assert!(report.is_clean());
 }

@@ -1,11 +1,15 @@
-//! Streaming-format integration tests: the `lc-core::stream` path must
-//! agree byte-for-byte with the in-memory path's semantics under
-//! arbitrary reader chunking and window boundaries.
+//! Windowed-writer integration tests: `archive::encode_windowed` (what
+//! `lc compress --stream` runs) must write exactly the bytes of the
+//! in-memory `archive::encode` under arbitrary reader chunking and window
+//! boundaries, and must refuse a reader whose length is not the declared
+//! one.
+
+use std::io::Cursor;
 
 use proptest::prelude::*;
 
 use lc_repro::lc_components::{lookup, parse_pipeline};
-use lc_repro::lc_core::stream::{decode_stream, StreamEncoder};
+use lc_repro::lc_core::archive::{self, WINDOW_CHUNKS};
 use lc_repro::lc_core::CHUNK_SIZE;
 use lc_repro::lc_parallel::Pool;
 
@@ -26,22 +30,27 @@ impl std::io::Read for Dribble<'_> {
     }
 }
 
-fn stream_roundtrip(data: &[u8], read_size: usize) -> Vec<u8> {
+fn windowed(data: &[u8], declared: u64, read_size: usize) -> std::io::Result<Vec<u8>> {
     let pipeline = parse_pipeline("DBEFS_4 DIFF_4 RZE_4").unwrap();
-    let pool = Pool::new(4);
-    let enc = StreamEncoder::new(&pipeline, pool);
-    let mut compressed = Vec::new();
     let mut reader = Dribble {
         data,
         pos: 0,
         max: read_size.max(1),
     };
-    enc.encode(&mut reader, &mut compressed).unwrap();
-    let mut out = Vec::new();
+    let mut out = Cursor::new(Vec::new());
+    archive::encode_windowed(&pipeline, &mut reader, declared, &mut out, &Pool::new(4))?;
+    Ok(out.into_inner())
+}
+
+/// Stream `data` through the windowed writer and require the in-memory
+/// encoder's bytes, which must decode back to `data`.
+fn stream_roundtrip(data: &[u8], read_size: usize) -> Vec<u8> {
+    let streamed = windowed(data, data.len() as u64, read_size).unwrap();
+    let pipeline = parse_pipeline("DBEFS_4 DIFF_4 RZE_4").unwrap();
     let pool = Pool::new(4);
-    decode_stream(&mut &compressed[..], &mut out, lookup, &pool).unwrap();
-    assert_eq!(out, data);
-    compressed
+    assert!(streamed == archive::encode(&pipeline, data, &pool));
+    assert_eq!(archive::decode(&streamed, lookup, &pool).unwrap(), data);
+    streamed
 }
 
 #[test]
@@ -56,7 +65,7 @@ fn short_reads_do_not_change_the_output() {
 
 #[test]
 fn window_boundaries() {
-    let window = StreamEncoder::WINDOW_CHUNKS * CHUNK_SIZE;
+    let window = WINDOW_CHUNKS * CHUNK_SIZE;
     for len in [window - 1, window, window + 1, window * 2 + CHUNK_SIZE / 2] {
         let data: Vec<u8> = (0..len).map(|i| (i % 97) as u8).collect();
         stream_roundtrip(&data, usize::MAX);
@@ -69,6 +78,20 @@ fn streamed_sp_files_roundtrip() {
         let file = lc_repro::lc_data::file_by_name(name).unwrap();
         let data = lc_repro::lc_data::generate(file, lc_repro::lc_data::Scale::tiny());
         stream_roundtrip(&data, 4096);
+    }
+}
+
+#[test]
+fn reader_length_must_match_the_declared_length() {
+    let window = WINDOW_CHUNKS * CHUNK_SIZE;
+    for len in [1, CHUNK_SIZE * 3 + 5, window, window + 7] {
+        let data: Vec<u8> = (0..len).map(|i| (i % 89) as u8).collect();
+        // The reader ends early: more was declared than it yields.
+        let short = windowed(&data, len as u64 + 1, 1000).unwrap_err();
+        assert_eq!(short.kind(), std::io::ErrorKind::UnexpectedEof, "len {len}");
+        // The reader runs long: it yields more than was declared.
+        let long = windowed(&data, len as u64 - 1, 1000).unwrap_err();
+        assert_eq!(long.kind(), std::io::ErrorKind::InvalidData, "len {len}");
     }
 }
 
