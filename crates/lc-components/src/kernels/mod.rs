@@ -23,7 +23,8 @@
 //! means "no cap"). [`set_tier_cap`] lowers the cap at runtime — used by
 //! the equivalence tests and by operators who need to pin the portable
 //! path. On non-x86_64 targets everything resolves to
-//! [`Variant::Scalar`].
+//! [`Variant::Scalar`]. Both functions are defined in `lc-core`, whose
+//! CRC-32 honours the same cap.
 //!
 //! # Safety audit boundary
 //!
@@ -45,79 +46,11 @@ pub mod tuple;
 
 pub use lc_core::KernelVariant as Variant;
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+/// The tier cap lives in `lc-core` next to [`Variant`], so the component
+/// kernels and the archive's CRC-32 read one `LC_KERNELS` setting.
+pub use lc_core::component::{set_tier_cap, tier};
 
-/// Sentinel: the runtime cap has not been set, fall back to `LC_KERNELS`.
-const CAP_UNSET: u8 = u8::MAX;
-
-static CAP: AtomicU8 = AtomicU8::new(CAP_UNSET);
-static ENV_CAP: OnceLock<Variant> = OnceLock::new();
-static DETECTED: OnceLock<Variant> = OnceLock::new();
-
-fn to_u8(v: Variant) -> u8 {
-    match v {
-        Variant::Scalar => 0,
-        Variant::Sse2 => 1,
-        Variant::Avx2 => 2,
-    }
-}
-
-fn from_u8(v: u8) -> Variant {
-    match v {
-        0 => Variant::Scalar,
-        1 => Variant::Sse2,
-        _ => Variant::Avx2,
-    }
-}
-
-/// Strongest tier the running CPU supports (cached CPUID probe).
-fn detected() -> Variant {
-    *DETECTED.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                Variant::Avx2
-            } else if std::arch::is_x86_feature_detected!("sse2") {
-                Variant::Sse2
-            } else {
-                Variant::Scalar
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        Variant::Scalar
-    })
-}
-
-/// Cap requested through the `LC_KERNELS` environment variable.
-fn env_cap() -> Variant {
-    *ENV_CAP.get_or_init(|| match std::env::var("LC_KERNELS").as_deref() {
-        Ok("scalar") => Variant::Scalar,
-        Ok("sse2") => Variant::Sse2,
-        // Unset, "avx2", or anything unrecognized: no cap. An unknown
-        // value must not silently disable SIMD in production.
-        _ => Variant::Avx2,
-    })
-}
-
-/// The kernel tier dispatch resolves to on this machine right now:
-/// `min(detected CPU features, configured cap)`.
-pub fn tier() -> Variant {
-    let cap = match CAP.load(Ordering::Relaxed) {
-        CAP_UNSET => env_cap(),
-        v => from_u8(v),
-    };
-    detected().min(cap)
-}
-
-/// Cap the dispatch tier at runtime, overriding `LC_KERNELS`.
-///
-/// `set_tier_cap(Variant::Scalar)` forces every kernel onto the portable
-/// path; `set_tier_cap(Variant::Avx2)` removes the cap (detection still
-/// applies). Takes effect for all subsequent kernel calls process-wide.
-pub fn set_tier_cap(cap: Variant) {
-    CAP.store(to_u8(cap), Ordering::Relaxed);
-}
+use lc_core::component::detected_tier as detected;
 
 /// Every tier currently reachable through dispatch, weakest first.
 ///
@@ -137,21 +70,6 @@ pub fn available() -> Vec<Variant> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tier_never_exceeds_detection_and_cap_lowers_it() {
-        let t = tier();
-        assert!(t <= detected());
-        set_tier_cap(Variant::Scalar);
-        assert_eq!(tier(), Variant::Scalar);
-        // set_tier_cap(Avx2) overrides LC_KERNELS entirely (docs above).
-        set_tier_cap(Variant::Avx2);
-        assert_eq!(tier(), detected());
-        // Restore the env-derived default: other tests in this binary
-        // dispatch, and an LC_KERNELS pin must keep applying to them.
-        CAP.store(CAP_UNSET, Ordering::Relaxed);
-        assert_eq!(tier(), detected().min(env_cap()));
-    }
 
     #[test]
     fn available_is_monotone_from_scalar() {

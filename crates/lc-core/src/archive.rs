@@ -33,16 +33,24 @@
 //! encoded in parallel and each chunk's payload offset is produced by the
 //! decoupled look-back scan from `lc-parallel`, mirroring how the GPU
 //! encoder propagates cumulative compressed sizes between thread blocks
-//! (paper §6.1). [`encode_windowed`] writes the same bytes from a reader
-//! of known length while holding only [`WINDOW_CHUNKS`] chunks in memory:
-//! it appends each window's payloads and seeks back once at the end to
-//! write the chunk table and the whole-input CRC.
+//! (paper §6.1). The worker that encoded a chunk copies its stored bytes
+//! straight to that offset in the archive buffer, so each chunk is copied
+//! once. Each chunk's original bytes are checksummed once; the
+//! whole-input CRC is folded from those chunk CRCs
+//! ([`crate::checksum::crc32_combine_op`]), not computed in a second pass.
+//! [`encode_windowed`] writes the same bytes from a reader of known
+//! length while holding only [`WINDOW_CHUNKS`] chunks in memory: it
+//! appends each window's payloads and seeks back once at the end to write
+//! the chunk table and the whole-input CRC.
 //!
 //! Decoders. One per-chunk core serves three entry points. It recomputes
 //! chunk start offsets with a prefix scan over the chunk table —
 //! mirroring the GPU decoder's block prefix sum — then decodes chunks in
-//! parallel straight into their fixed output regions, checking each
-//! against its CRC and fencing each against decoder panics:
+//! parallel straight into their fixed output regions, checksumming each
+//! (and checking it against its table CRC in v3) and fencing each against
+//! decoder panics. The whole-output CRC is folded from the chunk CRCs,
+//! as on encode; only a salvage that lost chunks checksums the assembled
+//! output again, since its zero-filled regions have no chunk CRC:
 //!
 //! * [`decode`] is all-or-nothing: any damage is a hard [`DecodeError`],
 //!   and the lowest-index faulty chunk names it;
@@ -162,8 +170,8 @@ pub struct DecodeOptions<'a> {
     /// it: a hostile archive can declare an arbitrary length, and an
     /// unbounded decode would allocate it.
     pub max_decoded_bytes: Option<u64>,
-    /// Polled at every chunk claim and once more before the whole-output
-    /// CRC pass; once it trips the decode fails with
+    /// Polled at every chunk claim and once more after the last chunk;
+    /// once it trips the decode fails with
     /// [`DecodeError::Cancelled`]. This is how an `lc-serve` request
     /// deadline stops a decode.
     pub cancel: Option<&'a CancelToken>,
@@ -179,7 +187,8 @@ pub struct EncodeResult {
 }
 
 struct ChunkOutcome {
-    data: Vec<u8>,
+    /// Bytes the chunk occupies in the payload region.
+    stored: u32,
     mask: u8,
     /// CRC-32 of the chunk's original (uncompressed) bytes.
     crc: u32,
@@ -278,38 +287,22 @@ fn encode_inner(
     let set = StageSet::for_encode(pipeline);
     let n_chunks = chunk_count(input.len());
     let mut enc_span = span!("archive.encode", bytes = input.len(), chunks = n_chunks);
-    let (outcomes, offsets, payload_total) = encode_chunks(&set, input, 0, pool, cancel)?;
+    let mut head = Vec::new();
+    push_header(&mut head, set.stages, input.len() as u64, 0, n_chunks);
+    let crc_at = head.len() - 8;
+    let payload_at = head.len() + n_chunks * TABLE_ENTRY_V3;
+    // Stored chunks never exceed their input, so the input length bounds
+    // the payload. Zero-allocated and truncated afterwards: the pages
+    // the payloads do not reach are never committed.
+    let mut archive = vec![0u8; payload_at + input.len()];
+    let (outcomes, payload_total) =
+        encode_chunks(&set, input, 0, &mut archive[payload_at..], pool, cancel)?;
+    let crc = extend_crc(0, outcomes.iter().map(|o| o.crc), input.len());
+    head[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    push_table(&mut head, &outcomes);
+    archive[..payload_at].copy_from_slice(&head);
+    archive.truncate(payload_at + payload_total);
 
-    // Phase 2: serialize header + chunk table, then parallel payload copy.
-    let mut archive = Vec::with_capacity(64 + n_chunks * TABLE_ENTRY_V3 + payload_total);
-    push_header(
-        &mut archive,
-        set.stages,
-        input.len() as u64,
-        crate::checksum::crc32(input),
-        n_chunks,
-    );
-    push_table(&mut archive, &outcomes);
-    let payload_start = archive.len();
-    archive.resize(payload_start + payload_total, 0);
-    {
-        let payload = &mut archive[payload_start..];
-        let base = payload.as_mut_ptr() as usize;
-        pool.run(n_chunks, |i| {
-            let src = &outcomes[i].data;
-            // SAFETY: the scan guarantees [offset, offset+len) ranges are
-            // disjoint and within the payload region (total == scan.total()).
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    src.as_ptr(),
-                    (base as *mut u8).add(offsets[i] as usize),
-                    src.len(),
-                );
-            }
-        });
-    }
-
-    // Phase 3: fold per-chunk records into per-stage statistics.
     let mut stage_stats = empty_stage_stats(set.stages);
     add_stage_records(&mut stage_stats, &outcomes);
     let stats = finish_encode(
@@ -361,7 +354,8 @@ pub fn encode_windowed<R: Read, W: Write + Seek>(
     output.write_all(&header)?;
 
     let mut window = vec![0u8; (WINDOW_CHUNKS * CHUNK_SIZE).min(len as usize)];
-    let mut crc = crate::checksum::Crc32::new();
+    let mut payload = vec![0u8; window.len()];
+    let mut crc = 0;
     let mut stage_stats = empty_stage_stats(set.stages);
     let mut payload_total = 0usize;
     let mut done = 0u64;
@@ -375,13 +369,12 @@ pub fn encode_windowed<R: Read, W: Write + Seek>(
             ),
             _ => e,
         })?;
-        crc.update(filled);
         let first_chunk = (done / CHUNK_SIZE as u64) as usize;
-        let (outcomes, _, window_total) = encode_chunks(&set, filled, first_chunk, pool, None)
-            .expect("uncancellable encode completes"); // invariant: no cancel token
-        for o in &outcomes {
-            output.write_all(&o.data)?;
-        }
+        let (outcomes, window_total) =
+            encode_chunks(&set, filled, first_chunk, &mut payload, pool, None)
+                .expect("uncancellable encode completes"); // invariant: no cancel token
+        output.write_all(&payload[..window_total])?;
+        crc = extend_crc(crc, outcomes.iter().map(|o| o.crc), filled.len());
         push_table(&mut patch, &outcomes);
         add_stage_records(&mut stage_stats, &outcomes);
         payload_total += window_total;
@@ -393,7 +386,7 @@ pub fn encode_windowed<R: Read, W: Write + Seek>(
             format!("input holds more than its declared {len} bytes"),
         ));
     }
-    patch[..4].copy_from_slice(&crc.finish().to_le_bytes());
+    patch[..4].copy_from_slice(&crc.to_le_bytes());
     output.seek(SeekFrom::Start(start + patch_at as u64))?;
     output.write_all(&patch)?;
     let archive_len = output.seek(SeekFrom::End(0))? - start;
@@ -408,37 +401,59 @@ pub fn encode_windowed<R: Read, W: Write + Seek>(
     Ok((archive_len, stats))
 }
 
-/// Phase 1 of an encode: every chunk of `input` through the pipeline in
-/// parallel (one pool task per chunk, like one thread block per chunk on
-/// the GPU). Returns the outcomes, each chunk's payload offset and the
-/// payload total, or `None` when cancelled. `first_chunk` is the index
-/// of `input`'s first chunk within the whole archive, for traces.
+/// Every chunk of `input` through the pipeline in parallel (one pool
+/// task per chunk, like one thread block per chunk on the GPU), each
+/// worker copying its chunk's stored bytes straight to the offset the
+/// decoupled look-back scan hands it in `payload`, which must hold at
+/// least `input.len()` bytes. Returns the outcomes and the payload
+/// total, or `None` when cancelled. `first_chunk` is the index of
+/// `input`'s first chunk within the whole archive, for traces.
+///
+/// # Panics
+///
+/// Panics if a stage grew a chunk past its input length: copy-on-expand
+/// bounds every reducer, and non-reducers must keep a chunk's size.
 fn encode_chunks(
     set: &StageSet<'_>,
     input: &[u8],
     first_chunk: usize,
+    payload: &mut [u8],
     pool: &Pool,
     cancel: Option<&CancelToken>,
-) -> Option<(Vec<ChunkOutcome>, Vec<u64>, usize)> {
+) -> Option<(Vec<ChunkOutcome>, usize)> {
     let n_chunks = chunk_count(input.len());
     let mut outcomes: Vec<Option<ChunkOutcome>> = Vec::new();
     outcomes.resize_with(n_chunks, || None);
     let scan = LookbackScan::new(n_chunks);
-    let mut offsets = vec![0u64; n_chunks];
+    let capacity = payload.len();
+    let base = payload.as_mut_ptr() as usize;
     {
         let outcome_slots = DisjointSlice::new(&mut outcomes);
-        let offset_slots = DisjointSlice::new(&mut offsets);
         // Each worker owns one Scratch arena for its whole claim stream:
         // stage buffers are allocated once per worker, not once per chunk.
         let encode_task = |scratch: &mut Scratch, i: usize| {
             let chunk = &input[chunk_range(i, input.len())];
-            let outcome = encode_one_chunk(set, chunk, first_chunk + i, scratch);
+            let (outcome, stored) = encode_one_chunk(set, chunk, first_chunk + i, scratch);
             // Publish this chunk's stored size; receive the cumulative size
             // of all prior chunks (decoupled look-back, as on the GPU).
-            let offset = scan.publish(i, outcome.data.len() as u64);
-            // SAFETY: the pool claims each index at most once.
+            let offset = scan.publish(i, stored.len() as u64) as usize;
+            // Checked after publishing, so a failing chunk never leaves
+            // its successors waiting on its scan entry.
+            assert!(
+                stored.len() <= chunk.len() && offset + stored.len() <= capacity,
+                "chunk {i} stored {} bytes for {} input bytes",
+                stored.len(),
+                chunk.len()
+            );
+            // SAFETY: the scan hands every chunk a range disjoint from
+            // every other chunk's, and the assert keeps it in `payload`.
             unsafe {
-                *offset_slots.get_mut(i) = offset;
+                std::ptr::copy_nonoverlapping(
+                    stored.as_ptr(),
+                    (base as *mut u8).add(offset),
+                    stored.len(),
+                );
+                // The pool claims each index at most once.
                 *outcome_slots.get_mut(i) = Some(outcome);
             }
         };
@@ -454,12 +469,30 @@ fn encode_chunks(
     if cancel.is_some_and(|c| c.is_cancelled()) {
         return None;
     }
-    let payload_total = if n_chunks == 0 { 0 } else { scan.total() } as usize;
+    let payload_total = scan.total() as usize;
     let outcomes = outcomes
         .into_iter()
-        .map(|o| o.expect("chunk encoded")) // invariant: phase 1 fills every slot
+        .map(|o| o.expect("chunk encoded")) // invariant: the pool fills every slot
         .collect();
-    Some((outcomes, offsets, payload_total))
+    Some((outcomes, payload_total))
+}
+
+/// Extend `crc`, the CRC-32 of everything before some run of chunks, by
+/// those chunks' CRCs in chunk order (`len` bytes in total): zlib's
+/// `crc32_combine`, with one operator for full chunks and its own for a
+/// shorter last one.
+fn extend_crc(mut crc: u32, chunk_crcs: impl IntoIterator<Item = u32>, len: usize) -> u32 {
+    let full = crate::checksum::crc32_combine_gen(CHUNK_SIZE as u64);
+    for (i, chunk_crc) in chunk_crcs.into_iter().enumerate() {
+        let n = chunk_range(i, len).len();
+        let op = if n == CHUNK_SIZE {
+            full
+        } else {
+            crate::checksum::crc32_combine_gen(n as u64)
+        };
+        crc = crate::checksum::crc32_combine_op(crc, chunk_crc, op);
+    }
+    crc
 }
 
 /// Serialize the archive header up to and including the chunk count.
@@ -487,7 +520,7 @@ fn push_header(
 fn push_table(out: &mut Vec<u8>, outcomes: &[ChunkOutcome]) {
     for o in outcomes {
         out.push(o.mask);
-        out.extend_from_slice(&(o.data.len() as u32).to_le_bytes());
+        out.extend_from_slice(&o.stored.to_le_bytes());
         out.extend_from_slice(&o.crc.to_le_bytes());
     }
 }
@@ -658,12 +691,15 @@ impl<'a> StageSet<'a> {
     }
 }
 
-fn encode_one_chunk(
+/// Run one chunk through every stage; returns its table record and a
+/// view of its stored bytes (the arena's last output, or the chunk itself
+/// when every stage was skipped).
+fn encode_one_chunk<'s>(
     set: &StageSet<'_>,
-    chunk: &[u8],
+    chunk: &'s [u8],
     chunk_index: usize,
-    scratch: &mut Scratch,
-) -> ChunkOutcome {
+    scratch: &'s mut Scratch,
+) -> (ChunkOutcome, &'s [u8]) {
     let crc = crate::checksum::crc32(chunk);
     let mut mask = 0u8;
     let mut stage_records = Vec::with_capacity(set.stages.len());
@@ -727,19 +763,18 @@ fn encode_one_chunk(
             live = live.advance();
         }
     }
-    // One exact-size copy out of the arena (the arena itself is reused
-    // for the worker's next chunk).
-    let data = match live {
-        Live::Input => chunk.to_vec(),
-        Live::A => scratch.a.clone(),
-        Live::B => scratch.b.clone(),
+    let stored: &[u8] = match live {
+        Live::Input => chunk,
+        Live::A => &scratch.a,
+        Live::B => &scratch.b,
     };
-    ChunkOutcome {
-        data,
+    let outcome = ChunkOutcome {
+        stored: stored.len() as u32,
         mask,
         crc,
         stage_records,
-    }
+    };
+    (outcome, stored)
 }
 
 /// Read a little-endian u32 at `at`; caller must have bounds-checked.
@@ -1036,6 +1071,9 @@ where
     let original_len = layout.original_len as usize;
     let mut out = vec![0u8; original_len];
     let out_base = out.as_mut_ptr() as usize;
+    // Each decoded chunk's CRC-32, folded into the whole-output CRC below.
+    let mut crcs = vec![0u32; n_chunks];
+    let crc_slots = DisjointSlice::new(&mut crcs);
     let cancel = opts.cancel;
     // Strict decode reports the lowest-index fault. Chunks above the
     // lowest fault seen so far are skipped; chunks below it always run,
@@ -1053,13 +1091,15 @@ where
                 return;
             }
             match decode_one(&set, &layout, bytes, i, scratch) {
-                // SAFETY: chunk output regions tile `out` disjointly.
-                Ok(decoded) => unsafe {
+                // SAFETY: chunk output regions tile `out` disjointly, and
+                // the pool claims each index (CRC slot) at most once.
+                Ok((decoded, crc)) => unsafe {
                     std::ptr::copy_nonoverlapping(
                         decoded.as_ptr(),
                         (out_base as *mut u8).add(i * CHUNK_SIZE),
                         decoded.len(),
                     );
+                    *crc_slots.get_mut(i) = crc;
                 },
                 Err(error) => {
                     lowest_fault.fetch_min(i, Ordering::Relaxed);
@@ -1075,8 +1115,8 @@ where
             (s, a)
         },
     );
-    // A deadline that fires after the last chunk but before the
-    // whole-output integrity pass still counts: that pass is real work.
+    // A deadline that fires after the last chunk still counts: the
+    // caller has stopped waiting for this output.
     if cancel.is_some_and(|c| c.is_cancelled()) {
         return Err(DecodeError::Cancelled);
     }
@@ -1087,7 +1127,14 @@ where
     // Integrity: the decoded output must match the recorded CRC — this is
     // what turns "plausible but wrong bytes" that no per-chunk check
     // caught into a hard error (strict) or `archive_crc_ok == false`.
-    let actual = crate::checksum::crc32(&out);
+    // With every chunk decoded, the output is exactly the decoded chunks
+    // in order, so folding their CRCs gives the output's CRC without a
+    // second pass; only zero-filled lost chunks need one.
+    let actual = if errors.is_empty() {
+        extend_crc(0, crcs, original_len)
+    } else {
+        crate::checksum::crc32(&out)
+    };
     if !salvage && actual != layout.crc32 {
         return Err(DecodeError::ChecksumMismatch {
             expected: layout.crc32,
@@ -1112,14 +1159,15 @@ where
 }
 
 /// Decode chunk `i` into the worker's arena and validate it against its
-/// per-chunk CRC, returning a view of the recovered bytes.
+/// per-chunk CRC where the container has one, returning a view of the
+/// recovered bytes and their CRC-32.
 fn decode_one<'s>(
     set: &StageSet<'_>,
     layout: &Layout,
     bytes: &'s [u8],
     i: usize,
     scratch: &'s mut Scratch,
-) -> Result<&'s [u8], DecodeError> {
+) -> Result<(&'s [u8], u32), DecodeError> {
     let start = layout.offsets[i] as usize;
     let payload = start
         .checked_add(layout.sizes[i] as usize)
@@ -1136,8 +1184,8 @@ fn decode_one<'s>(
     .unwrap_or(Err(DecodeError::Corrupt {
         context: "decoder panicked",
     }))?;
+    let actual = crate::checksum::crc32(decoded);
     if let Some(crcs) = &layout.crcs {
-        let actual = crate::checksum::crc32(decoded);
         if actual != crcs[i] {
             return Err(DecodeError::ChunkChecksumMismatch {
                 chunk: i as u32,
@@ -1146,7 +1194,7 @@ fn decode_one<'s>(
             });
         }
     }
-    Ok(decoded)
+    Ok((decoded, actual))
 }
 
 /// Decode one chunk into the worker's arena, returning a borrowed view
@@ -1500,6 +1548,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn header_crc_is_checked_against_the_folded_chunk_crcs() {
+        let pool = Pool::new(2);
+        let mut data = incompressible(3);
+        data.extend(vec![0xFFu8; 100]); // a short last chunk
+        let mut archive = encode(&pipeline(), &data, &pool);
+        let h = parse_header(&archive).unwrap();
+        assert_eq!(h.crc32, crate::checksum::crc32(&data));
+        // The CRC field sits just before the chunk count; the chunk table
+        // and payloads stay intact, so every chunk CRC still matches.
+        archive[h.table_offset - 8] ^= 0x01;
+        assert!(matches!(
+            decode(&archive, resolver, &pool).unwrap_err(),
+            DecodeError::ChecksumMismatch { actual, .. } if actual == h.crc32
+        ));
+        let (out, report) = salvage(&archive, resolver, &pool, &DecodeOptions::default()).unwrap();
+        assert_eq!(out, data);
+        assert_eq!((report.lost, report.archive_crc_ok), (0, false));
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! of output data that feeds the next stage (paper §1, Fig. 1). Only
 //! reducers may change the data size.
 
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
+
 use crate::contract::Contract;
 use crate::error::DecodeError;
 use crate::stats::KernelStats;
@@ -123,6 +126,66 @@ impl KernelVariant {
             KernelVariant::Avx2 => "avx2",
         }
     }
+}
+
+/// Sentinel: the runtime cap has not been set, fall back to `LC_KERNELS`.
+const CAP_UNSET: u8 = u8::MAX;
+
+static CAP: AtomicU8 = AtomicU8::new(CAP_UNSET);
+static ENV_CAP: OnceLock<KernelVariant> = OnceLock::new();
+static DETECTED: OnceLock<KernelVariant> = OnceLock::new();
+
+/// Strongest tier the running CPU supports (cached CPUID probe).
+pub fn detected_tier() -> KernelVariant {
+    *DETECTED.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                KernelVariant::Avx2
+            } else if std::arch::is_x86_feature_detected!("sse2") {
+                KernelVariant::Sse2
+            } else {
+                KernelVariant::Scalar
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        KernelVariant::Scalar
+    })
+}
+
+/// Cap requested through the `LC_KERNELS` environment variable.
+fn env_cap() -> KernelVariant {
+    *ENV_CAP.get_or_init(|| match std::env::var("LC_KERNELS").as_deref() {
+        Ok("scalar") => KernelVariant::Scalar,
+        Ok("sse2") => KernelVariant::Sse2,
+        // Unset, "avx2", or anything unrecognized: no cap. An unknown
+        // value must not silently disable SIMD in production.
+        _ => KernelVariant::Avx2,
+    })
+}
+
+/// The tier every explicit-SIMD kernel dispatches to on this machine
+/// right now: `min(detected CPU features, configured cap)`. The
+/// component kernels and the CRC-32 in [`crate::checksum`] read this one
+/// cap.
+pub fn tier() -> KernelVariant {
+    let cap = match CAP.load(Ordering::Relaxed) {
+        CAP_UNSET => env_cap(),
+        0 => KernelVariant::Scalar,
+        1 => KernelVariant::Sse2,
+        _ => KernelVariant::Avx2,
+    };
+    detected_tier().min(cap)
+}
+
+/// Cap the dispatch tier at runtime, overriding `LC_KERNELS`.
+///
+/// `set_tier_cap(KernelVariant::Scalar)` forces every kernel onto the
+/// portable path; `set_tier_cap(KernelVariant::Avx2)` removes the cap
+/// (detection still applies). Takes effect for all subsequent kernel
+/// calls process-wide.
+pub fn set_tier_cap(cap: KernelVariant) {
+    CAP.store(cap as u8, Ordering::Relaxed);
 }
 
 /// A data transformation with a common chunk-in/chunk-out interface.
@@ -244,6 +307,21 @@ pub fn family_of(name: &str) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tier_never_exceeds_detection_and_cap_lowers_it() {
+        let t = tier();
+        assert!(t <= detected_tier());
+        set_tier_cap(KernelVariant::Scalar);
+        assert_eq!(tier(), KernelVariant::Scalar);
+        // set_tier_cap(Avx2) overrides LC_KERNELS entirely (docs above).
+        set_tier_cap(KernelVariant::Avx2);
+        assert_eq!(tier(), detected_tier());
+        // Restore the env-derived default: other tests in this binary
+        // dispatch, and an LC_KERNELS pin must keep applying to them.
+        CAP.store(CAP_UNSET, Ordering::Relaxed);
+        assert_eq!(tier(), detected_tier().min(env_cap()));
+    }
 
     #[test]
     fn kind_labels() {

@@ -91,6 +91,23 @@ fn every_fixture_honours_the_size_bound() {
 }
 
 #[test]
+fn v2_value_damage_fails_the_whole_output_crc() {
+    // v2 has no chunk CRCs: a flipped payload value decodes "cleanly"
+    // and only the whole-output CRC, folded from the decoded chunks'
+    // CRCs, catches it.
+    let pool = Pool::new(2);
+    let mut bad = fixture("obs_info.v2.lc");
+    let n = bad.len();
+    bad[n - 1] ^= 0x01;
+    assert!(matches!(
+        archive::decode(&bad, lookup, &pool),
+        Err(DecodeError::ChecksumMismatch { .. })
+    ));
+    let (_, report) = archive::salvage(&bad, lookup, &pool, &DecodeOptions::default()).unwrap();
+    assert_eq!((report.lost, report.archive_crc_ok), (0, false));
+}
+
+#[test]
 fn legacy_stream_damage_is_an_error() {
     let pool = Pool::new(2);
     let stream = fixture("obs_info.lcrs");

@@ -58,12 +58,19 @@ fn one_encode_span_per_chunk_and_stage() {
         assert!(seen.insert((ev.name, chunk)));
     }
 
-    // The encode-level span and the pool span are present too.
+    // The encode-level span is present too, and exactly one pool
+    // dispatch: the chunk pass, whose workers write each payload at its
+    // final offset, so no copy pass follows it.
     assert_eq!(
         events.iter().filter(|e| e.name == "archive.encode").count(),
         1
     );
-    assert!(events.iter().any(|e| e.cat == "pool" && e.name == "run"));
+    let dispatches: Vec<_> = events
+        .iter()
+        .filter(|e| e.cat == "pool" && e.name != "worker")
+        .map(|e| e.name)
+        .collect();
+    assert_eq!(dispatches, ["fold"]);
 
     // Decode mirrors encode: every stage the encoder applied (or
     // skipped) produces exactly one stage.decode span per chunk.
